@@ -37,10 +37,10 @@ class RunContext:
     nominal_k: int
     #: deterministic source for algorithmic randomness (pivot sampling)
     rng: np.random.Generator
-    #: the seed ``rng`` was built from.  Host-serialised algorithms that
-    #: loop rows re-seed a fresh generator per row from this, so a batched
-    #: run replays each row exactly as a single-shot run would (and is
-    #: therefore invariant to row order)
+    #: the seed ``rng`` was built from.  Algorithms with per-row randomness
+    #: (QuickSelect, SampleSelect) seed one generator per row from this, so
+    #: a batched run replays each row exactly as a single-shot run would
+    #: (and is therefore invariant to row order)
     seed: int = 0
 
     @property

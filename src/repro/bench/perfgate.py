@@ -8,10 +8,12 @@ module pins a small workload grid and measures, per cell:
 
 * ``sim_time_s`` — simulated device seconds (deterministic; any change is
   a cost-model or accounting change, never noise);
-* ``wall_s`` — best-of-``repeats`` host wall-clock of the emulation;
-* for the fused algorithms, ``wall_unfused_s`` — the same cell forced
-  through the per-row reference path (``params={"fused": False}``), whose
-  ratio ``fused_speedup`` tracks the value of batch fusion.
+* ``wall_s`` — best-of-``repeats`` host wall-clock of the emulation.
+
+Snapshots written before 3.0 also carry ``wall_unfused_s`` /
+``fused_speedup`` per cell and ``batch100_fused_speedup``, measured
+against per-row execution paths that no longer exist; the schema keeps
+them optional so those snapshots still load.
 
 Snapshots are schema-validated JSON (``repro.bench.perfgate/v1``) written
 as ``BENCH_<rev>.json`` at the repository root; :func:`compare_snapshots`
@@ -37,10 +39,6 @@ SCHEMA_ID = "repro.bench.perfgate/v1"
 #: shared CI runners, tight enough to catch a de-fused hot path)
 DEFAULT_TOLERANCE = 0.25
 
-#: algorithms with a per-row reference path selectable via
-#: ``params={"fused": False}``
-FUSED_ALGORITHMS = ("air_topk", "bucket_select", "quick_select", "sample_select")
-
 
 @dataclass(frozen=True)
 class GateCell:
@@ -58,9 +56,8 @@ class GateCell:
 #: the pinned grid.  The batch=100 cells sit in the overhead-dominated
 #: regime (small rows, many of them) where per-row scheduling cost — not
 #: element math — is the bill, which is precisely what batch fusion
-#: removes; their aggregate fused-vs-per-row ratio is published as
-#: ``batch100_fused_speedup``.  The large single-problem cell and the
-#: deliberately serial sort baseline guard the math-dominated regime.
+#: removes.  The large single-problem cell and the deliberately serial
+#: sort baseline guard the math-dominated regime.
 PINNED_GRID: tuple[GateCell, ...] = (
     GateCell("air_topk", 1024, 16, 100),
     GateCell("bucket_select", 2048, 16, 100),
@@ -87,6 +84,7 @@ SNAPSHOT_SCHEMA = {
         "gpu": {"type": "string"},
         "repeats": {"type": "integer"},
         "seed": {"type": "integer"},
+        # optional, written only by pre-3.0 snapshots (see module docstring)
         "batch100_fused_speedup": {"type": "number"},
         "cells": {
             "type": "array",
@@ -128,7 +126,7 @@ def git_rev(root: Path | str = ".") -> str:
     return rev if out.returncode == 0 and rev else "local"
 
 
-def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int, **kwargs):
+def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int):
     """Best-of-``repeats`` wall-clock and the (deterministic) sim time.
 
     The workload is generated once, outside the timed region, so ``wall``
@@ -151,7 +149,6 @@ def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int, **kwargs):
             spec=spec,
             seed=seed,
             data=data,
-            **kwargs,
         )
         wall = min(wall, time.perf_counter() - start)
         sim = run.time
@@ -180,16 +177,6 @@ def collect_snapshot(
             "sim_time_s": sim,
             "wall_s": wall,
         }
-        if cell.algo in FUSED_ALGORITHMS and cell.batch > 1:
-            # the per-row reference path; its simulated time may legitimately
-            # differ (BucketSelect's fused scheduling removes per-row syncs
-            # and PCIe round trips), the wall ratio tracks the host win
-            _, wall_u = _measure(
-                cell, gpu=gpu, repeats=repeats, seed=seed,
-                params={"fused": False},
-            )
-            entry["wall_unfused_s"] = wall_u
-            entry["fused_speedup"] = wall_u / wall if wall > 0 else float("inf")
         cells.append(entry)
         if progress is not None:
             progress(entry)
@@ -201,17 +188,6 @@ def collect_snapshot(
         "seed": int(seed),
         "cells": cells,
     }
-    # aggregate fused-vs-per-row ratio over the batch=100 fusion cells —
-    # wall-weighted, so big cells cannot be hidden behind fast ones
-    fused = [
-        c for c in cells if c["batch"] == 100 and "wall_unfused_s" in c
-    ]
-    if fused:
-        total = sum(c["wall_s"] for c in fused)
-        total_u = sum(c["wall_unfused_s"] for c in fused)
-        snapshot["batch100_fused_speedup"] = (
-            total_u / total if total > 0 else float("inf")
-        )
     validate(snapshot, SNAPSHOT_SCHEMA)
     return snapshot
 

@@ -1293,18 +1293,13 @@ def cmd_perf_bench(args) -> int:
 
     def show(entry) -> None:
         logger.info(
-            "%s n=%d k=%d batch=%d: sim %s wall %.4fs%s",
+            "%s n=%d k=%d batch=%d: sim %s wall %.4fs",
             entry["algo"],
             entry["n"],
             entry["k"],
             entry["batch"],
             format_time(entry["sim_time_s"]),
             entry["wall_s"],
-            (
-                f" (fused speedup {entry['fused_speedup']:.2f}x)"
-                if "fused_speedup" in entry
-                else ""
-            ),
         )
 
     snapshot = perfgate.collect_snapshot(
@@ -1323,21 +1318,14 @@ def cmd_perf_bench(args) -> int:
             "hot" if c["hot"] else "cold",
             format_time(c["sim_time_s"]),
             f"{c['wall_s']:.4f}s",
-            f"{c['fused_speedup']:.2f}x" if "fused_speedup" in c else "-",
         )
         for c in snapshot["cells"]
     ]
     print(
         format_table(
-            ["algo", "n", "k", "batch", "gate", "sim", "wall", "fused speedup"],
-            rows,
+            ["algo", "n", "k", "batch", "gate", "sim", "wall"], rows
         )
     )
-    if "batch100_fused_speedup" in snapshot:
-        print(
-            "batch=100 fused speedup (wall-weighted): "
-            f"{snapshot['batch100_fused_speedup']:.2f}x"
-        )
     # resolve and read the baseline *before* writing: re-running at the
     # same revision overwrites the previous snapshot, which must still be
     # the one gated against

@@ -46,7 +46,7 @@ the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,38 +58,12 @@ from ..perf import calibration as cal
 from ..primitives import (
     batched_digit_histogram,
     block_scan_ops,
-    digit_histogram,
     digit_layout,
     find_target_bucket,
     flat_histogram,
     head_mask,
     inclusive_scan,
 )
-
-
-@dataclass
-class _RowState:
-    """Per-problem state carried across fused iterations (device-resident)."""
-
-    #: results still to be found among the current candidates
-    k_cand: int
-    #: current candidate count (histogram[target] of the last pass)
-    count: int
-    #: accumulated target prefix over processed digits (RAFT kth_value_bits)
-    prefix: int = 0
-    #: number of passes folded into ``prefix``
-    passes_done: int = 0
-    #: target digit chosen by each completed pass
-    targets: list[int] = field(default_factory=list)
-    #: buffered candidates through boundary ``passes_done - 2`` (the input
-    #: of the upcoming kernel), or None when it must rescan the input
-    buf_keys: np.ndarray | None = None
-    buf_idx: np.ndarray | None = None
-    #: all remaining candidates are results; only a gather is left
-    done: bool = False
-    gathered: bool = False
-    out_keys: list = field(default_factory=list)
-    out_idx: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -139,7 +113,6 @@ class AIRTopK(TopKAlgorithm):
         early_stop: bool = True,
         digit_bits: int = 11,
         fuse_last_filter: bool = False,
-        fused: bool = True,
     ) -> None:
         """``adaptive=False`` and ``early_stop=False`` are the ablations of
         the paper's Fig. 9 and Fig. 10.  ``alpha`` is the buffering
@@ -151,14 +124,7 @@ class AIRTopK(TopKAlgorithm):
         in-kernel filter phase (after a device-wide sync) needs the final
         candidate list materialised, which forces the buffer write the
         adaptive strategy would skip under adversarial distributions.  The
-        paper's adopted configuration is False.
-
-        ``fused=True`` (the default) executes the whole batch through
-        vectorised multi-row passes — the emulation analogue of the fused
-        launches the simulated device already charges for.  ``fused=False``
-        keeps the per-row reference loop; both produce byte-identical
-        outputs, traces and device accounting (pinned by the batched
-        differential suite), differing only in host wall-clock."""
+        paper's adopted configuration is False."""
         if alpha < 4:
             raise ValueError(
                 f"alpha below 4 makes buffering strictly unprofitable "
@@ -168,10 +134,11 @@ class AIRTopK(TopKAlgorithm):
         self.adaptive = adaptive
         self.early_stop = early_stop
         self.fuse_last_filter = fuse_last_filter
-        self.fused = fused
         self.digit_bits = digit_bits
-        # 32-bit keys are the paper's configuration; wider keys get the
-        # same digit width over proportionally more passes (see passes_for)
+        # 32-bit keys are the paper's configuration; other key widths get
+        # the same digit width over proportionally more or fewer passes
+        # (see passes_for).  Never reassigned: one instance serves every
+        # dtype, so each run derives its own layout.
         self.passes = digit_layout(32, digit_bits)
         #: per-pass trace of the most recent run (list of PassRecord)
         self.last_trace: list[PassRecord] = []
@@ -217,8 +184,7 @@ class AIRTopK(TopKAlgorithm):
         return digit_layout(key_width, self.digit_bits)
 
     # ------------------------------------------------------------------ #
-    # launch emission — shared by the fused and per-row execution paths so
-    # both charge byte-identical launch parameters
+    # launch emission
     # ------------------------------------------------------------------ #
     def _launch_pass(
         self, device, grid: int, batch: int, num_buckets: int,
@@ -241,11 +207,12 @@ class AIRTopK(TopKAlgorithm):
 
     def _launch_final(
         self, device, grid: int, batch: int, num_buckets: int,
-        traffic: _KernelTraffic, pending: _KernelTraffic | None,
+        num_passes: int, traffic: _KernelTraffic,
+        pending: _KernelTraffic | None,
     ) -> None:
         if pending is not None:
             device.launch_kernel(
-                f"iteration_fused_kernel({len(self.passes)})+last_filter",
+                f"iteration_fused_kernel({num_passes})+last_filter",
                 grid_blocks=grid,
                 block_threads=256,
                 bytes_read=pending.bytes_read + traffic.bytes_read,
@@ -254,7 +221,7 @@ class AIRTopK(TopKAlgorithm):
                 fixed_bytes_written=batch * num_buckets * 4.0,
                 fixed_flops=batch * block_scan_ops(num_buckets),
                 fixed_dependent_cycles=batch * cal.AIR_PER_PROBLEM_CYCLES,
-                span_args=self._pass_telemetry(len(self.passes) - 1),
+                span_args=self._pass_telemetry(num_passes - 1),
             )
         else:
             device.launch_kernel(
@@ -268,77 +235,27 @@ class AIRTopK(TopKAlgorithm):
             )
 
     # ------------------------------------------------------------------ #
+    # batched execution: the whole batch advances through each pass in
+    # vectorised slab/flat operations, one launch set for every row
+    # ------------------------------------------------------------------ #
     def _run(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        self.passes = self.passes_for(ctx.keys.dtype)
-        self.last_trace = []
-        if self.fused:
-            return self._run_fused(ctx)
-        return self._run_rows(ctx)
+        """Run every row of the batch through one fused launch set.
 
-    def _run_rows(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row reference execution (the pre-fusion loop)."""
-        batch, n = ctx.keys.shape
-        device = ctx.device
-        states = [_RowState(k_cand=ctx.k, count=n) for _ in range(batch)]
-        num_buckets = self.passes[0].num_buckets
-
-        # the host enqueues every kernel up front; nothing below synchronises
-        # the host sizes every grid from the only quantity it knows — the
-        # nominal input size; candidate counts live in device memory, so
-        # later kernels launch the same grid and surplus blocks exit early
-        grid = streaming_grid(
-            device.spec,
-            ctx.nominal_n * batch,
-            items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
-        )
-        pending: _KernelTraffic | None = None
-        for dpass in self.passes:
-            traffic = _KernelTraffic()
-            for row in range(batch):
-                self._fused_iteration(
-                    states[row], ctx.keys[row], dpass, traffic, row=row
-                )
-            if self.fuse_last_filter and dpass.index == len(self.passes) - 1:
-                pending = traffic  # launched below, merged with the filter
-                continue
-            self._launch_pass(
-                device, grid, batch, num_buckets, dpass.index, traffic
-            )
-
-        traffic = _KernelTraffic()
-        out_keys = np.empty((batch, ctx.k), dtype=ctx.keys.dtype)
-        out_idx = np.empty((batch, ctx.k), dtype=np.int64)
-        for row in range(batch):
-            rk, ri = self._last_filter(ctx, states[row], ctx.keys[row], traffic)
-            out_keys[row] = rk
-            out_idx[row] = ri
-        self._launch_final(device, grid, batch, num_buckets, traffic, pending)
-        # two candidate buffers (double buffering), each bounded by N/alpha
-        # when the adaptive strategy is on (Sec. 3.2), by N otherwise
-        bound = max(1.0, n / self.alpha) if self.adaptive else float(n)
-        device.allocate_workspace(batch * 2 * 8.0 * bound)
-        return out_keys, out_idx
-
-    # ------------------------------------------------------------------ #
-    # fused multi-row execution: the whole batch advances through each
-    # pass in vectorised slab/flat operations instead of a per-row loop
-    # ------------------------------------------------------------------ #
-    def _run_fused(self, ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised batched execution, byte-identical to `_run_rows`.
-
-        Per-row state becomes state *vectors*; the candidate sets of all
+        Per-row state lives in state *vectors*; the candidate sets of all
         buffered rows live in one flat row-major array (``buf_rows`` /
         ``buf_keys`` / ``buf_idx``), and rescanning rows are processed as a
         2-d slab of the input.  Every traffic term is an integer-valued
-        float, so the fused sums equal the per-row sums exactly and the
-        simulated launch costs — and therefore times — are bit-identical.
+        float, so the batch sums are exact and independent of row order:
+        each row is selected, and charged, exactly as a single-shot run.
         """
+        passes = self.passes_for(ctx.keys.dtype)
+        self.last_trace = []
         batch, n = ctx.keys.shape
         device = ctx.device
         keys2d = ctx.keys
         kt = keys2d.dtype.type
-        num_buckets = self.passes[0].num_buckets
-        num_passes = len(self.passes)
+        num_buckets = passes[0].num_buckets
+        num_passes = len(passes)
 
         # per-row state vectors (device-resident in the modelled kernels)
         k_cand = np.full(batch, ctx.k, dtype=np.int64)
@@ -365,11 +282,12 @@ class AIRTopK(TopKAlgorithm):
 
             Returns the row-major flat survivors through boundary
             ``pass_index - 1`` after appending that boundary's winners to
-            the output chunks (exactly `_load_and_filter`, all rows at
-            once).
+            the output chunks.  Buffered rows read their candidate buffer
+            (8 B per element); the others rescan their whole input row
+            (4 B per element over all of N).
             """
             nonlocal buf_rows, buf_keys, buf_idx
-            prev = self.passes[pass_index - 1]
+            prev = passes[pass_index - 1]
             parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
             n_win = 0
             if buf_rows.size:
@@ -402,7 +320,7 @@ class AIRTopK(TopKAlgorithm):
                 if pass_index == 1:
                     win2 = shifted < pfx
                 else:
-                    prev2 = self.passes[pass_index - 2]
+                    prev2 = passes[pass_index - 2]
                     pfx2 = (prefix[rescan] >> np.uint64(prev.width)).astype(
                         keys2d.dtype
                     )[:, None]
@@ -482,7 +400,7 @@ class AIRTopK(TopKAlgorithm):
                 active = np.flatnonzero(~done)
                 if not active.size:
                     # every row is done (and now gathered): drop the buffer
-                    # so later passes read nothing, like the per-row loop
+                    # so later passes read nothing
                     buf_rows = np.empty(0, dtype=np.int64)
                     buf_keys = np.empty(0, dtype=keys2d.dtype)
                     buf_idx = np.empty(0, dtype=np.int64)
@@ -566,7 +484,7 @@ class AIRTopK(TopKAlgorithm):
                     )
                 )
 
-        def last_filter_fused(traffic: _KernelTraffic) -> None:
+        def last_filter(traffic: _KernelTraffic) -> None:
             """Final filtering kernel (line 5 of Algorithm 1), all rows."""
             s_rows, s_keys, s_idx = load_and_filter(num_passes, traffic)
             s_rows, s_keys, s_idx = gather_pending(s_rows, s_keys, s_idx, traffic)
@@ -583,13 +501,17 @@ class AIRTopK(TopKAlgorithm):
             traffic.bytes_written += 8.0 * float(k_cand[live].sum())
             traffic.flops += cal.FILTER_OPS_PER_ELEM * s_keys.size
 
+        # the host enqueues every kernel up front and sizes every grid from
+        # the only quantity it knows — the nominal input size; candidate
+        # counts live in device memory, so later kernels launch the same
+        # grid and surplus blocks exit early
         grid = streaming_grid(
             device.spec,
             ctx.nominal_n * batch,
             items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
         )
         pending: _KernelTraffic | None = None
-        for dpass in self.passes:
+        for dpass in passes:
             traffic = _KernelTraffic()
             fused_pass(dpass, traffic)
             if self.fuse_last_filter and dpass.index == num_passes - 1:
@@ -600,8 +522,10 @@ class AIRTopK(TopKAlgorithm):
             )
 
         traffic = _KernelTraffic()
-        last_filter_fused(traffic)
-        self._launch_final(device, grid, batch, num_buckets, traffic, pending)
+        last_filter(traffic)
+        self._launch_final(
+            device, grid, batch, num_buckets, num_passes, traffic, pending
+        )
 
         all_rows = (
             np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
@@ -621,185 +545,3 @@ class AIRTopK(TopKAlgorithm):
         bound = max(1.0, n / self.alpha) if self.adaptive else float(n)
         device.allocate_workspace(batch * 2 * 8.0 * bound)
         return out_k, out_i
-
-    # ------------------------------------------------------------------ #
-    # loading: candidates through boundary (passes_done - 2), winners split
-    # ------------------------------------------------------------------ #
-    def _load_and_filter(
-        self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Read this kernel's input and apply the lagged filter.
-
-        Returns the candidates through boundary ``passes_done - 1`` (i.e.
-        survivors of the previous pass's target digit) after writing the
-        winners at that boundary to the output.  Accounts read traffic for
-        either the buffer (8 B per element) or an input rescan (4 B per
-        element over all of N).
-        """
-        p = state.passes_done
-        if p == 0:
-            n = row_keys.shape[0]
-            traffic.bytes_read += 4.0 * n
-            traffic.elements += n
-            return row_keys, np.arange(n, dtype=np.int64)
-
-        prev = self.passes[p - 1]
-        prev_target = state.targets[-1]
-        if state.buf_keys is not None:
-            cand_keys, cand_idx = state.buf_keys, state.buf_idx
-            traffic.bytes_read += 8.0 * cand_keys.shape[0]
-            traffic.elements += cand_keys.shape[0]
-            traffic.flops += cal.FILTER_OPS_PER_ELEM * cand_keys.shape[0]
-            prev_digits = prev.extract(cand_keys)
-            win = prev_digits < prev_target
-            keep = prev_digits == prev_target
-        else:
-            n = row_keys.shape[0]
-            traffic.bytes_read += 4.0 * n
-            traffic.elements += n
-            # every loaded element pays the fused filter's prefix test
-            traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * n
-            # full-prefix candidacy (RAFT kth_value_bits semantics)
-            kt = row_keys.dtype.type
-            shifted = row_keys >> kt(prev.shift)
-            keep = shifted == kt(state.prefix)
-            if p == 1:
-                win = shifted < kt(state.prefix)
-            else:
-                prev2 = self.passes[p - 2]
-                prefix2 = state.prefix >> prev.width
-                match2 = (row_keys >> kt(prev2.shift)) == kt(prefix2)
-                win = match2 & (shifted < kt(state.prefix))
-            cand_keys = row_keys
-            cand_idx = np.arange(n, dtype=np.int64)
-
-        n_win = int(win.sum())
-        if n_win:
-            state.out_keys.append(cand_keys[win])
-            state.out_idx.append(cand_idx[win])
-            traffic.bytes_written += cal.SCATTER_WRITE_PENALTY * 8.0 * n_win
-        return cand_keys[keep], cand_idx[keep]
-
-    # ------------------------------------------------------------------ #
-    def _fused_iteration(
-        self,
-        state: _RowState,
-        row_keys: np.ndarray,
-        dpass,
-        traffic: _KernelTraffic,
-        row: int = -1,
-    ) -> None:
-        """One fused filter+histogram iteration for one problem row."""
-        if state.done:
-            self._gather_if_pending(state, row_keys, traffic)
-            return
-
-        cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
-        if cand_keys.shape[0] != state.count:
-            raise AssertionError(
-                f"candidate bookkeeping drifted: have {cand_keys.shape[0]}, "
-                f"histogram said {state.count}"
-            )
-
-        digits = dpass.extract(cand_keys)
-        hist = digit_histogram(digits, dpass.num_buckets)
-        traffic.flops += cal.FUSED_KERNEL_OPS_PER_ELEM * cand_keys.shape[0]
-        psum = inclusive_scan(hist)
-        target = int(find_target_bucket(psum, state.k_cand))
-        below = int(psum[target - 1]) if target > 0 else 0
-
-        # adaptive buffering: store the survivors (this kernel's candidate
-        # set) only when they are few enough to be worth the scatter.  The
-        # first kernel never buffers: its candidate set is the whole input
-        # (no filtering has happened yet), so even the classic pipeline only
-        # starts writing buffers from the second kernel's fused filter.
-        n = row_keys.shape[0]
-        final_pass = dpass.index == len(self.passes) - 1
-        use_buffer = state.passes_done > 0 and (
-            (not self.adaptive)
-            or (state.count < n / self.alpha)
-            # the fused final filter reads the candidate list after its
-            # internal sync; it must exist, whatever the adaptive rule says
-            or (self.fuse_last_filter and final_pass)
-        )
-        if use_buffer:
-            state.buf_keys = cand_keys
-            state.buf_idx = cand_idx
-            traffic.bytes_written += (
-                cal.ATOMIC_SCATTER_PENALTY * 8.0 * cand_keys.shape[0]
-            )
-        else:
-            state.buf_keys = None
-            state.buf_idx = None
-
-        candidates_in = int(cand_keys.shape[0])
-        state.targets.append(target)
-        state.prefix = (state.prefix << dpass.width) | target
-        state.passes_done += 1
-        state.k_cand -= below
-        state.count = int(hist[target])
-        if self.early_stop and state.k_cand == state.count:
-            state.done = True
-        self.last_trace.append(
-            PassRecord(
-                row=row,
-                pass_index=dpass.index,
-                candidates_in=candidates_in,
-                target_digit=target,
-                candidates_out=state.count,
-                k_remaining=state.k_cand,
-                buffered=use_buffer,
-                early_stopped=state.done,
-            )
-        )
-
-    # ------------------------------------------------------------------ #
-    def _survivors(
-        self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Current candidates (through boundary ``passes_done - 1``)."""
-        cand_keys, cand_idx = self._load_and_filter(state, row_keys, traffic)
-        return cand_keys, cand_idx
-
-    def _gather_if_pending(
-        self, state: _RowState, row_keys: np.ndarray, traffic: _KernelTraffic
-    ) -> None:
-        """Early-stopped row: the next kernel degenerates to one gather."""
-        if state.gathered:
-            return
-        cand_keys, cand_idx = self._survivors(state, row_keys, traffic)
-        if cand_keys.shape[0] != state.k_cand:
-            raise AssertionError(
-                f"early stop expected {state.k_cand} survivors, "
-                f"got {cand_keys.shape[0]}"
-            )
-        state.out_keys.append(cand_keys)
-        state.out_idx.append(cand_idx)
-        traffic.bytes_written += 8.0 * cand_keys.shape[0]
-        state.gathered = True
-
-    def _last_filter(
-        self,
-        ctx: RunContext,
-        state: _RowState,
-        row_keys: np.ndarray,
-        traffic: _KernelTraffic,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Final filtering kernel (line 5 of Algorithm 1)."""
-        if state.done:
-            self._gather_if_pending(state, row_keys, traffic)
-        else:
-            cand_keys, cand_idx = self._survivors(state, row_keys, traffic)
-            # after the final pass every survivor shares the complete key:
-            # they are exact ties, any k_cand of them are valid results
-            state.out_keys.append(cand_keys[: state.k_cand])
-            state.out_idx.append(cand_idx[: state.k_cand])
-            traffic.bytes_written += 8.0 * state.k_cand
-            traffic.flops += cal.FILTER_OPS_PER_ELEM * cand_keys.shape[0]
-        keys = np.concatenate(state.out_keys)
-        idx = np.concatenate(state.out_idx)
-        if keys.shape[0] != ctx.k:
-            raise AssertionError(
-                f"AIR Top-K produced {keys.shape[0]} results, expected {ctx.k}"
-            )
-        return keys, idx

@@ -19,7 +19,7 @@ are the segment algebra those paths share:
   selection over a whole batch in one vectorised pass.
 
 All helpers are exact (integer arithmetic only); the fused paths that use
-them are pinned byte-identical to the per-row reference execution by
+them are pinned byte-identical to stacked single-shot runs by
 ``tests/test_differential.py::TestBatchedDifferential``.
 """
 

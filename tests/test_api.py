@@ -1,4 +1,4 @@
-"""The v2 facade: one keyword-only topk(), deprecation shims, devices."""
+"""The facade: one keyword-only topk(), the retired v1 surface, devices."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import A100, H100, Device, check_topk, get_spec, select_k, topk
+import repro
+from repro import A100, H100, Device, check_topk, get_spec, topk
 from repro.api import resolve_device
 
 
@@ -86,40 +87,19 @@ class TestDeviceResolution:
 
 
 class TestDeprecationShims:
-    """Old v1 signatures keep working, warn, and return identical results."""
+    """The v1 shims that warned through 2.x are retired in 3.0: their
+    spellings raise, and modern calls never warn."""
 
-    def test_select_k_warns_and_matches(self, rng):
-        data = rng.standard_normal((3, 2000)).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="select_k"):
-            values, indices = select_k(data, 16)
-        modern = topk(data, 16, algo="air_topk")
-        assert np.array_equal(values, modern.values)
-        assert np.array_equal(indices, modern.indices)
-
-    def test_select_k_select_min_false(self, rng):
+    def test_spec_and_loose_kwargs_raise(self, rng):
         data = rng.standard_normal(2000).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, indices = select_k(data, 8, select_min=False)
-        modern = topk(data, 8, algo="air_topk", largest=True)
-        assert np.array_equal(values, modern.values)
-        assert np.array_equal(indices, modern.indices)
+        with pytest.raises(TypeError):
+            topk(data, 8, algo="sort", spec=H100)
+        with pytest.raises(TypeError):
+            topk(data, 8, algo="air_topk", early_stop=False)
 
-    def test_spec_kwarg_warns_and_matches(self, rng):
-        data = rng.standard_normal(2000).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="spec="):
-            old = topk(data, 8, algo="sort", spec=H100)
-        new = topk(data, 8, algo="sort", device=H100)
-        assert old.device.spec is H100
-        assert np.array_equal(old.values, new.values)
-        assert np.array_equal(old.indices, new.indices)
-
-    def test_loose_tuning_kwargs_warn_and_match(self, rng):
-        data = rng.standard_normal(1 << 14).astype(np.float32)
-        with pytest.warns(DeprecationWarning, match="params"):
-            old = topk(data, 64, algo="air_topk", early_stop=False)
-        new = topk(data, 64, algo="air_topk", params={"early_stop": False})
-        assert np.array_equal(old.values, new.values)
-        assert np.array_equal(old.indices, new.indices)
+    def test_select_k_is_gone(self):
+        assert not hasattr(repro, "select_k")
+        assert "select_k" not in repro.__all__
 
     def test_modern_calls_do_not_warn(self, rng):
         data = rng.standard_normal(2000).astype(np.float32)

@@ -70,6 +70,20 @@ def test_air_passes_for():
     assert [p.width for p in air.passes_for(np.uint64)] == [11] * 5 + [9]
 
 
+def test_air_instance_reused_across_dtypes(rng):
+    """A wider dtype's run must not leak its digit layout into the next
+    32-bit run of the same instance (drtopk_hybrid keeps one alive)."""
+    data32 = rng.standard_normal(10000).astype(np.float32)
+    fresh = AIRTopK().select(data32, 10)
+    air = AIRTopK()
+    for dtype in (np.float32, np.float64, np.float32):
+        reused = air.select(data32.astype(dtype), 10)
+    assert reused.device.counters.kernel_launches == 3 + 1
+    assert reused.time == fresh.time
+    assert np.array_equal(reused.values, fresh.values)
+    assert np.array_equal(reused.indices, fresh.indices)
+
+
 def test_air_uses_two_passes_for_16bit(rng):
     data = rng.standard_normal(10000).astype(np.float16)
     from repro import topk

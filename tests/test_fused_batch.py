@@ -13,6 +13,9 @@ pin the scheduling invariants that rewrite must preserve:
   fused algorithms launch the same number of kernels for a replicated
   batch as for one row; per-row algorithms replay their launches once per
   row.
+* **One execution body per algorithm** — the fused algorithms have no
+  per-row alternative, so a ``fused`` tuning option is rejected rather
+  than silently ignored.
 * **The sharded coordinator knows about fused batches** — its merge
   launches carry a per-problem serial term that scales with the batch,
   and its result meta reports which launch-cost regime the shards ran in.
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algos import get_algorithm
+from repro.algos import available_algorithms, get_algorithm
 from repro.bench import ALL_ALGORITHMS
 from repro.device import Device, get_spec
 from repro.perf import calibration as cal
@@ -134,15 +137,26 @@ class TestBatchedFlagIsTruthful:
                 f"{self.BATCH} vs {single['kernel_launches']} for batch=1"
             )
 
-    @pytest.mark.parametrize(
-        "algo", ["bucket_select", "quick_select", "sample_select"]
-    )
-    def test_flag_follows_fusion(self, algo):
-        assert get_algorithm(algo).batched_execution is True
-        assert (
-            get_algorithm(algo, params={"fused": False}).batched_execution
-            is False
-        )
+
+@pytest.mark.parametrize(
+    "algo",
+    (
+        "air_topk",
+        "bucket_select",
+        "quick_select",
+        "sample_select",
+        "bucket_approx",
+        "twostage_approx",
+    ),
+)
+class TestOneExecutionBody:
+    def test_fused_option_is_rejected(self, algo):
+        for value in (False, True):
+            with pytest.raises(TypeError):
+                get_algorithm(algo, params={"fused": value})
+        info = {i.name: i for i in available_algorithms()}[algo]
+        assert "fused" not in info.tunables
+        assert info.batched_execution is True
 
 
 class TestSharderFusedBatchCosts:

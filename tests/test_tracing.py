@@ -1,4 +1,4 @@
-"""Tests for the chrome-trace exporter and the select_k wrapper."""
+"""Tests for the chrome-trace exporter and topk's (values, indices) unpacking."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import select_k, topk
+from repro import topk
 from repro.device import STREAMS, chrome_trace, write_chrome_trace
 from repro.verify import oracle_topk_values
 
@@ -61,24 +61,21 @@ class TestChromeTrace:
         assert len(set(tids.values())) == len(tids)
 
 
-class TestSelectK:
-    """select_k() is a deprecated v1 shim; every call must warn."""
+class TestTopKUnpacking:
+    """``values, indices = topk(...)`` — the tuple form v1's select_k gave."""
 
-    def test_matches_topk(self, rng):
+    def test_matches_oracle(self, rng):
         data = rng.standard_normal((3, 2000)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, indices = select_k(data, 16)
+        values, indices = topk(data, 16, algo="air_topk")
         assert np.array_equal(values, oracle_topk_values(data, 16))
         assert np.array_equal(np.take_along_axis(data, indices, axis=1), values)
 
-    def test_select_min_false(self, rng):
+    def test_largest(self, rng):
         data = rng.standard_normal(1000).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, _ = select_k(data, 4, select_min=False)
+        values, _ = topk(data, 4, algo="air_topk", largest=True)
         assert np.array_equal(values, oracle_topk_values(data, 4, largest=True))
 
-    def test_algo_and_kwargs_forwarded(self, rng):
+    def test_algo_and_seed_forwarded(self, rng):
         data = rng.standard_normal(5000).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            values, _ = select_k(data, 8, algo="grid_select", seed=5)
+        values, _ = topk(data, 8, algo="grid_select", seed=5)
         assert np.array_equal(values, oracle_topk_values(data, 8))
