@@ -13,7 +13,7 @@ live here.
 Fused across the batch dimension like the exact hot paths: one stage-1
 launch streams the concatenated rows, one stage-2 launch merges every
 row's survivors.  A single read of the input is the whole point — the
-exact baselines are ≥2-pass — and is what the recall-bench Pareto sweep
+exact baselines are ≥2-pass — and is what the recall bench's Pareto sweep
 measures.
 
 The recall annotation is the hypergeometric occupancy model of

@@ -1,4 +1,8 @@
-"""Benchmark harness: sweeps, SOTA computation, Table 2 summary, reporting."""
+"""Benchmark harness: sweeps, SOTA computation, Table 2 summary, reporting.
+
+The gated snapshot benches behind ``repro-topk bench`` live in
+:mod:`repro.bench.harness` and its four bench modules, imported on
+demand."""
 
 from .runner import (
     ALL_ALGORITHMS,
@@ -8,39 +12,6 @@ from .runner import (
     SweepResult,
     run_point,
     sweep,
-)
-from .perfgate import (
-    DEFAULT_TOLERANCE,
-    GateCell,
-    GateReport,
-    PINNED_GRID,
-    TINY_GRID,
-    collect_snapshot,
-    compare_snapshots,
-    find_baseline,
-    load_snapshot,
-    write_snapshot,
-)
-from .clusterbench import (
-    ACCEPT_AVAILABILITY,
-    ACCEPT_NODES,
-    ACCEPT_SPEEDUP,
-    DEFAULT_CHAOS_PLAN,
-    DEFAULT_NODE_COUNTS,
-    crashed_nodes,
-    gate_cluster,
-    measure_chaos,
-    measure_point,
-    render_cluster_report,
-)
-from .recallbench import (
-    APPROX_VARIANTS,
-    DEFAULT_REGIMES,
-    TINY_REGIMES,
-    RecallCell,
-    empirical_recall,
-    gate_recall,
-    render_recall_report,
 )
 from .suite import PaperSuiteResult, run_paper_suite
 from .summary import SpeedupRange, Table2Row, speedup_range, table2
@@ -70,33 +41,6 @@ __all__ = [
     "SweepResult",
     "run_point",
     "sweep",
-    "DEFAULT_TOLERANCE",
-    "GateCell",
-    "GateReport",
-    "PINNED_GRID",
-    "TINY_GRID",
-    "collect_snapshot",
-    "compare_snapshots",
-    "find_baseline",
-    "load_snapshot",
-    "write_snapshot",
-    "ACCEPT_AVAILABILITY",
-    "ACCEPT_NODES",
-    "ACCEPT_SPEEDUP",
-    "DEFAULT_CHAOS_PLAN",
-    "DEFAULT_NODE_COUNTS",
-    "crashed_nodes",
-    "gate_cluster",
-    "measure_chaos",
-    "measure_point",
-    "render_cluster_report",
-    "APPROX_VARIANTS",
-    "DEFAULT_REGIMES",
-    "TINY_REGIMES",
-    "RecallCell",
-    "empirical_recall",
-    "gate_recall",
-    "render_recall_report",
     "PaperSuiteResult",
     "run_paper_suite",
     "SpeedupRange",

@@ -5,7 +5,7 @@ fastest algorithm per regime* from live measurements, where static
 dispatch trusts the analytic cost model's belief about the device.  This
 bench makes that claim falsifiable with a worst case for the static
 path: the cost model keeps believing ``gpu`` while, halfway through the
-decision stream, the device silently becomes ``gpu_shift`` (a
+decision stream, the device silently becomes :data:`GPU_SHIFT` (a
 device-spec drift — new hardware behind the same endpoint, thermal
 derating, a driver regression).
 
@@ -20,8 +20,8 @@ one decision stream through both dispatchers:
 Per decision the *regret* is ``measured(chosen) - measured(oracle)``,
 the oracle being the per-regime fastest algorithm on the device actually
 executing.  The gate requires the adaptive stream's cumulative
-post-shift regret to undercut static's by :data:`ACCEPT_RATIO`, and two
-safety properties to hold exactly:
+post-shift regret to be non-zero and to undercut static's by
+:data:`ACCEPT_RATIO`, and two safety properties to hold exactly:
 
 * **byte identity** — adaptation only changes *which* algorithm runs;
   re-running any chosen (regime, algorithm) pair reproduces its results
@@ -30,24 +30,36 @@ safety properties to hold exactly:
   (telemetry off) makes exactly the static choices and folds nothing.
 
 Snapshots are schema-validated JSON (``repro.bench.adapt/v1``) with no
-wall-clock content, so a seeded rerun is byte-identical — CI runs the
-tiny grid twice and ``cmp``s the files (see docs/adaptive.md).
+wall-clock content, so a seeded rerun is byte-identical — CI runs
+``repro-topk bench adapt`` twice and ``cmp``s the files (see
+docs/adaptive.md).
 """
 
 from __future__ import annotations
 
-import json
+import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..obs.schema import validate
 from .perfgate import git_rev
 from .report import format_table, format_time
 
+logger = logging.getLogger(__name__)
+
 SCHEMA_ID = "repro.bench.adapt/v1"
 
 #: post-shift cumulative-regret ratio (static / adaptive) the gate requires
 ACCEPT_RATIO = 1.3
+
+#: the board the device silently becomes halfway through the stream
+GPU_SHIFT = "V100"
+#: decision-stream length of the pinned and tiny grids; the shift lands
+#: halfway
+DECISIONS = 240
+TINY_DECISIONS = 80
+#: exploration rate and fold window of the adaptive dispatcher
+EPSILON = 0.1
+MIN_WINDOW = 4
 
 #: dispatch roster raced in every regime — the exact tier's contenders
 #: across the paper's regime map (hierarchical, AIR, radix, partition)
@@ -63,7 +75,7 @@ CANDIDATES = (
 
 @dataclass(frozen=True)
 class AdaptCell:
-    """One pinned regime of the adapt-bench decision stream."""
+    """One pinned regime of the adapt bench decision stream."""
 
     n: int
     k: int
@@ -167,14 +179,7 @@ SNAPSHOT_SCHEMA = {
 # --------------------------------------------------------------------------- #
 # measurement
 # --------------------------------------------------------------------------- #
-def measure_regime(
-    cell: AdaptCell,
-    *,
-    gpu: str,
-    gpu_shift: str,
-    seed: int,
-    candidates: tuple[str, ...] = CANDIDATES,
-) -> dict:
+def measure_regime(cell: AdaptCell, *, gpu: str, seed: int) -> dict:
     """One regime's measured-time tables on both devices.
 
     Simulated times are pure functions of (payload, algorithm, spec,
@@ -189,18 +194,18 @@ def measure_regime(
 
     data = generate("uniform", cell.n, batch=cell.batch, seed=seed)
     times = {}
-    for phase, name in zip(_SHIFT_PHASES, (gpu, gpu_shift)):
+    for phase, name in zip(_SHIFT_PHASES, (gpu, GPU_SHIFT)):
         spec = get_spec(name)
         times[phase] = {
             algo: topk(data, cell.k, algo=algo, device=spec, seed=seed).time
-            for algo in candidates
+            for algo in CANDIDATES
         }
     static_algo = rank_algorithms(
         n=cell.n,
         k=cell.k,
         batch=cell.batch,
         spec=get_spec(gpu),
-        candidates=candidates,
+        candidates=CANDIDATES,
     )[0].algo
     oracle_pre = min(times["pre"], key=times["pre"].get)
     oracle_post = min(times["post"], key=times["post"].get)
@@ -221,29 +226,26 @@ def _replay(
     seed: int,
     decisions: int,
     shift_at: int,
-    epsilon: float,
-    min_window: int,
-    candidates: tuple[str, ...],
 ) -> dict:
     """Run the static and adaptive decision streams against the tables."""
     from ..device import get_spec
     from ..perf.adaptive import AdaptiveDispatcher, CorrectionStore
 
     belief = get_spec(gpu)
-    store = CorrectionStore(min_window=min_window)
+    store = CorrectionStore(min_window=MIN_WINDOW)
     dispatcher = AdaptiveDispatcher(
         corrections=store,
-        epsilon=epsilon,
+        epsilon=EPSILON,
         seed=seed,
-        candidates=candidates,
+        candidates=CANDIDATES,
     )
     # the no-op control: same construction, never fed — must reproduce
     # the static stream exactly (what "telemetry off" degrades to)
     control = AdaptiveDispatcher(
-        corrections=CorrectionStore(min_window=min_window),
-        epsilon=epsilon,
+        corrections=CorrectionStore(min_window=MIN_WINDOW),
+        epsilon=EPSILON,
         seed=seed,
-        candidates=candidates,
+        candidates=CANDIDATES,
     )
     regret = {
         "static": {"pre": 0.0, "post": 0.0},
@@ -300,7 +302,6 @@ def _byte_identity(
     chosen: list[set],
     *,
     gpu: str,
-    gpu_shift: str,
     seed: int,
 ) -> bool:
     """Re-run every (regime, chosen algorithm) pair on both devices and
@@ -312,7 +313,7 @@ def _byte_identity(
     for entry, algos in zip(regimes, chosen):
         cell = entry["cell"]
         for algo in sorted(algos):
-            for name in (gpu, gpu_shift):
+            for name in (gpu, GPU_SHIFT):
                 spec = get_spec(name)
                 first = topk(entry["data"], cell.k, algo=algo, device=spec, seed=seed)
                 again = topk(entry["data"], cell.k, algo=algo, device=spec, seed=seed)
@@ -325,47 +326,35 @@ def _byte_identity(
 
 
 def collect_snapshot(
-    regimes: tuple[AdaptCell, ...] = DEFAULT_REGIMES,
+    tiny: bool = False,
     *,
     gpu: str = "A100",
-    gpu_shift: str = "V100",
     seed: int = 0,
-    decisions: int = 240,
-    shift_at: int | None = None,
-    epsilon: float = 0.1,
-    min_window: int = 4,
-    candidates: tuple[str, ...] = CANDIDATES,
     rev: str | None = None,
-    progress=None,
 ) -> dict:
     """Measure, replay, and assemble one ``repro.bench.adapt/v1`` payload."""
-    if gpu_shift == gpu:
-        raise ValueError("gpu_shift must differ from gpu — no shift, no bench")
-    if shift_at is None:
-        shift_at = decisions // 2
-    if not 0 < shift_at < decisions:
-        raise ValueError(f"shift_at must be inside (0, {decisions}), got {shift_at}")
+    if gpu == GPU_SHIFT:
+        raise ValueError(
+            f"gpu must differ from the {GPU_SHIFT} shift target — no shift, "
+            "no bench"
+        )
+    regimes = TINY_REGIMES if tiny else DEFAULT_REGIMES
+    decisions = TINY_DECISIONS if tiny else DECISIONS
+    shift_at = decisions // 2
     measured = []
     for cell in regimes:
-        entry = measure_regime(
-            cell, gpu=gpu, gpu_shift=gpu_shift, seed=seed, candidates=candidates
-        )
+        entry = measure_regime(cell, gpu=gpu, seed=seed)
         measured.append(entry)
-        if progress is not None:
-            progress(cell, entry)
+        logger.info(
+            "n=%d k=%d batch=%d: static %s, oracle %s -> %s%s",
+            cell.n, cell.k, cell.batch, entry["static_algo"],
+            entry["oracle_pre"], entry["oracle_post"],
+            " (flip)" if entry["oracle_pre"] != entry["oracle_post"] else "",
+        )
     replay = _replay(
-        measured,
-        gpu=gpu,
-        seed=seed,
-        decisions=decisions,
-        shift_at=shift_at,
-        epsilon=epsilon,
-        min_window=min_window,
-        candidates=candidates,
+        measured, gpu=gpu, seed=seed, decisions=decisions, shift_at=shift_at
     )
-    byte_identical = _byte_identity(
-        measured, replay["chosen"], gpu=gpu, gpu_shift=gpu_shift, seed=seed
-    )
+    byte_identical = _byte_identity(measured, replay["chosen"], gpu=gpu, seed=seed)
     regret = replay["regret"]
     static_post = regret["static"]["post"]
     adaptive_post = regret["adaptive"]["post"]
@@ -375,13 +364,13 @@ def collect_snapshot(
         "schema": SCHEMA_ID,
         "rev": rev if rev is not None else git_rev(),
         "gpu": gpu,
-        "gpu_shift": gpu_shift,
+        "gpu_shift": GPU_SHIFT,
         "seed": int(seed),
-        "candidates": list(candidates),
-        "decisions": int(decisions),
-        "shift_at": int(shift_at),
-        "epsilon": float(epsilon),
-        "min_window": int(min_window),
+        "candidates": list(CANDIDATES),
+        "decisions": decisions,
+        "shift_at": shift_at,
+        "epsilon": EPSILON,
+        "min_window": MIN_WINDOW,
         "regimes": [
             {
                 "n": e["cell"].n,
@@ -420,7 +409,7 @@ def collect_snapshot(
 # --------------------------------------------------------------------------- #
 # gating and rendering
 # --------------------------------------------------------------------------- #
-def gate_adapt(snapshot: dict, *, min_ratio: float = ACCEPT_RATIO) -> list[str]:
+def gate_adapt(snapshot: dict) -> list[str]:
     """Every gate violation in ``snapshot`` (empty list = gate passes)."""
     failures: list[str] = []
     post = snapshot["post_shift"]
@@ -429,10 +418,16 @@ def gate_adapt(snapshot: dict, *, min_ratio: float = ACCEPT_RATIO) -> list[str]:
             "static dispatch accumulated zero post-shift regret — the "
             "pinned regimes no longer exercise the shift; re-pin them"
         )
-    elif post["ratio"] is not None and post["ratio"] < min_ratio:
+    elif post["ratio"] is None:
+        failures.append(
+            "post-shift regret ratio is undefined (adaptive regret is "
+            "exactly zero) — the regimes cannot tell the learner apart "
+            "from the oracle; re-pin them"
+        )
+    elif post["ratio"] < ACCEPT_RATIO:
         failures.append(
             f"post-shift regret ratio {post['ratio']:.2f}x below the "
-            f">= {min_ratio:g}x acceptance bar (static "
+            f">= {ACCEPT_RATIO:g}x acceptance bar (static "
             f"{post['static_regret_s']:.3e}s vs adaptive "
             f"{post['adaptive_regret_s']:.3e}s)"
         )
@@ -452,9 +447,9 @@ def gate_adapt(snapshot: dict, *, min_ratio: float = ACCEPT_RATIO) -> list[str]:
 
 
 def render_adapt_report(snapshot: dict) -> str:
-    """The regret tables ``repro-topk adapt-bench`` prints."""
+    """The regret tables ``repro-topk bench adapt`` prints."""
     out = [
-        f"adapt-bench on {snapshot['gpu']} -> {snapshot['gpu_shift']} "
+        f"bench adapt on {snapshot['gpu']} -> {snapshot['gpu_shift']} "
         f"(rev {snapshot['rev']}, seed {snapshot['seed']}): "
         f"{snapshot['decisions']} decisions, shift at {snapshot['shift_at']}"
     ]
@@ -499,19 +494,3 @@ def render_adapt_report(snapshot: dict) -> str:
         f"no_telemetry_noop={'yes' if snapshot['no_telemetry_noop'] else 'NO'}"
     )
     return "\n".join(out)
-
-
-def write_snapshot(snapshot: dict, path: Path | str) -> Path:
-    """Validate and write the snapshot JSON to ``path``."""
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read and schema-validate a snapshot file."""
-    payload = json.loads(Path(path).read_text())
-    validate(payload, SNAPSHOT_SCHEMA)
-    return payload

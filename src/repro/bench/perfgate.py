@@ -8,23 +8,25 @@ module pins a small workload grid and measures, per cell:
 
 * ``sim_time_s`` — simulated device seconds (deterministic; any change is
   a cost-model or accounting change, never noise);
-* ``wall_s`` — best-of-``repeats`` host wall-clock of the emulation.
+* ``wall_s`` — best-of-:data:`REPEATS` host wall-clock of the emulation.
 
 Snapshots written before 3.0 also carry ``wall_unfused_s`` /
 ``fused_speedup`` per cell and ``batch100_fused_speedup``, measured
 against per-row execution paths that no longer exist; the schema keeps
 them optional so those snapshots still load.
 
-Snapshots are schema-validated JSON (``repro.bench.perfgate/v1``) written
-as ``BENCH_<rev>.json`` at the repository root; :func:`compare_snapshots`
-gates a new snapshot against the previous one with a configurable
-wall-clock tolerance (simulated times must match exactly).  CI runs this
-via ``repro-topk perf-bench`` — see docs/execution.md.
+Snapshots are schema-validated JSON (``repro.bench.perfgate/v1``),
+committed as ``BENCH_<rev>.json`` at the repository root.
+:func:`gate_perf` checks that every hot cell of the grid was measured
+and, given a baseline snapshot, fails hot cells whose wall-clock regressed
+beyond :data:`DEFAULT_TOLERANCE` (:func:`compare_snapshots`; simulated
+times must match exactly).  Run it with ``repro-topk bench perf
+--baseline BENCH_<rev>.json`` — see docs/execution.md.
 """
 
 from __future__ import annotations
 
-import json
+import logging
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -32,12 +34,18 @@ from pathlib import Path
 
 from ..obs.schema import validate
 from ..perf import simulate_topk
+from .report import format_table, format_time
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_ID = "repro.bench.perfgate/v1"
 
 #: wall-clock regression tolerance of the gate (25% — generous enough for
 #: shared CI runners, tight enough to catch a de-fused hot path)
 DEFAULT_TOLERANCE = 0.25
+
+#: wall-clock is the best of this many runs per cell
+REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,8 @@ def git_rev(root: Path | str = ".") -> str:
     return rev if out.returncode == 0 and rev else "local"
 
 
-def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int):
-    """Best-of-``repeats`` wall-clock and the (deterministic) sim time.
+def _measure(cell: GateCell, *, gpu: str, seed: int):
+    """Best-of-:data:`REPEATS` wall-clock and the (deterministic) sim time.
 
     The workload is generated once, outside the timed region, so ``wall``
     measures the emulated algorithm itself and not ``datagen``."""
@@ -138,7 +146,7 @@ def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int):
     data = generate("uniform", n=cell.n, batch=cell.batch, seed=seed)
     wall = float("inf")
     sim = 0.0
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         run = simulate_topk(
             cell.algo,
@@ -156,71 +164,42 @@ def _measure(cell: GateCell, *, gpu: str, repeats: int, seed: int):
 
 
 def collect_snapshot(
-    grid: tuple[GateCell, ...] = PINNED_GRID,
+    tiny: bool = False,
     *,
     gpu: str = "A100",
-    repeats: int = 3,
     seed: int = 0,
     rev: str | None = None,
-    progress=None,
 ) -> dict:
-    """Measure every grid cell and return a validated snapshot payload."""
+    """Measure every cell of the pinned (or ``tiny``) grid and return a
+    validated snapshot payload."""
     cells = []
-    for cell in grid:
-        sim, wall = _measure(cell, gpu=gpu, repeats=repeats, seed=seed)
-        entry = {
-            "algo": cell.algo,
-            "n": cell.n,
-            "k": cell.k,
-            "batch": cell.batch,
-            "hot": cell.hot,
-            "sim_time_s": sim,
-            "wall_s": wall,
-        }
-        cells.append(entry)
-        if progress is not None:
-            progress(entry)
+    for cell in TINY_GRID if tiny else PINNED_GRID:
+        sim, wall = _measure(cell, gpu=gpu, seed=seed)
+        cells.append(
+            {
+                "algo": cell.algo,
+                "n": cell.n,
+                "k": cell.k,
+                "batch": cell.batch,
+                "hot": cell.hot,
+                "sim_time_s": sim,
+                "wall_s": wall,
+            }
+        )
+        logger.info(
+            "%s n=%d k=%d batch=%d: sim %s wall %.4fs",
+            cell.algo, cell.n, cell.k, cell.batch, format_time(sim), wall,
+        )
     snapshot = {
         "schema": SCHEMA_ID,
         "rev": rev if rev is not None else git_rev(),
         "gpu": gpu,
-        "repeats": int(repeats),
+        "repeats": REPEATS,
         "seed": int(seed),
         "cells": cells,
     }
     validate(snapshot, SNAPSHOT_SCHEMA)
     return snapshot
-
-
-def write_snapshot(snapshot: dict, root: Path | str = ".") -> Path:
-    """Validate and write ``BENCH_<rev>.json`` under ``root``."""
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"BENCH_{snapshot['rev']}.json"
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read and schema-validate a snapshot file."""
-    payload = json.loads(Path(path).read_text())
-    validate(payload, SNAPSHOT_SCHEMA)
-    return payload
-
-
-def find_baseline(
-    root: Path | str = ".", *, exclude: Path | str | None = None
-) -> Path | None:
-    """Most recent ``BENCH_*.json`` under ``root`` (optionally excluding
-    the snapshot just written), or None when there is no baseline yet."""
-    exclude = Path(exclude).resolve() if exclude is not None else None
-    candidates = [
-        p for p in Path(root).glob("BENCH_*.json") if p.resolve() != exclude
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda p: p.stat().st_mtime)
 
 
 @dataclass
@@ -285,3 +264,50 @@ def compare_snapshots(
             "{}(n={}, k={}, batch={}): cell removed".format(*key)
         )
     return report
+
+
+def gate_perf(snapshot: dict, baseline: dict | None = None) -> list[str]:
+    """Every gate violation in ``snapshot`` (empty list = gate passes).
+
+    Every hot cell of the grid the snapshot was measured on must be
+    present — the tiny grid when the snapshot holds exactly its cells,
+    the pinned grid otherwise.  Against a ``baseline``, every hot-cell
+    wall-clock regression beyond :data:`DEFAULT_TOLERANCE` fails; the
+    comparison's informational notes go to the log.
+    """
+    measured = {_cell_key(c) for c in snapshot["cells"]}
+    tiny = {(c.algo, c.n, c.k, c.batch) for c in TINY_GRID}
+    grid = TINY_GRID if measured == tiny else PINNED_GRID
+    failures = [
+        f"{c.algo}(n={c.n}, k={c.k}, batch={c.batch}): pinned hot cell "
+        "missing from the snapshot"
+        for c in grid
+        if c.hot and (c.algo, c.n, c.k, c.batch) not in measured
+    ]
+    if baseline is not None:
+        report = compare_snapshots(baseline, snapshot)
+        for note in report.notes:
+            logger.info("note: %s", note)
+        failures += [f"REGRESSION {line}" for line in report.regressions]
+    return failures
+
+
+def render_perf_report(snapshot: dict) -> str:
+    """The per-cell table ``repro-topk bench perf`` prints."""
+    rows = [
+        (
+            c["algo"],
+            c["n"],
+            c["k"],
+            c["batch"],
+            "hot" if c["hot"] else "cold",
+            format_time(c["sim_time_s"]),
+            f"{c['wall_s']:.4f}s",
+        )
+        for c in snapshot["cells"]
+    ]
+    return (
+        f"bench perf on {snapshot['gpu']} (rev {snapshot['rev']}, "
+        f"best of {snapshot['repeats']})\n"
+        + format_table(["algo", "n", "k", "batch", "gate", "sim", "wall"], rows)
+    )

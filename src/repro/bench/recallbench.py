@@ -18,28 +18,30 @@ per-partition quotas) and records, per point,
 
 Every point is **gated**: ``empirical_recall >= recall_floor`` must hold
 (the floor is a promise attached to served results, so an empirical miss
-is a correctness bug, not noise).  Regimes marked ``acceptance=True``
-additionally gate the headline claim — at least one approximate point at
-recall >= :data:`ACCEPT_RECALL` must beat the best exact baseline by
-:data:`ACCEPT_SPEEDUP`.  A seeded mixed exact/approx serving run rides
-along and must finish with zero recall violations, tying the offline
-Pareto front to the SLO dispatcher that consumes it.
+is a correctness bug, not noise).  The pinned grid must carry an
+``acceptance=True`` regime, which additionally gates the headline claim —
+at least one approximate point at recall >= :data:`ACCEPT_RECALL` must
+beat the best exact baseline by :data:`ACCEPT_SPEEDUP`.  A seeded mixed
+exact/approx serving run rides along and must serve approximate results
+with zero recall violations, tying the offline Pareto front to the SLO
+dispatcher that consumes it.
 
-Snapshots are schema-validated JSON (``repro.bench.recall/v1``); CI runs
-this via ``repro-topk recall-bench`` — see docs/approximate.md.
+Snapshots are schema-validated JSON (``repro.bench.recall/v1``); run it
+with ``repro-topk bench recall`` — see docs/approximate.md.
 """
 
 from __future__ import annotations
 
-import json
+import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..obs.schema import validate
 from .perfgate import git_rev
 from .report import format_table, format_time
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_ID = "repro.bench.recall/v1"
 
@@ -55,7 +57,7 @@ EXACT_BASELINES = ("air_topk", "drtopk_hybrid")
 
 @dataclass(frozen=True)
 class RecallCell:
-    """One pinned regime of the recall-bench grid."""
+    """One pinned regime of the recall bench grid."""
 
     n: int
     k: int
@@ -197,8 +199,6 @@ def measure_cell(
     *,
     gpu: str = "A100",
     seed: int = 0,
-    variants: tuple = APPROX_VARIANTS,
-    progress=None,
 ) -> dict:
     """Measure one regime: best exact baseline + the full config ladder."""
     from ..algos import UnsupportedProblem
@@ -221,7 +221,7 @@ def measure_cell(
             f"no exact baseline supports n={cell.n}, k={cell.k}"
         )
     points = []
-    for algo, label, raw in variants:
+    for algo, label, raw in APPROX_VARIANTS:
         params = _resolve_params(algo, cell.k, raw)
         try:
             run = topk(data, cell.k, algo=algo, device=spec, seed=seed,
@@ -243,8 +243,11 @@ def measure_cell(
             "gate_ok": empirical >= floor,
         }
         points.append(entry)
-        if progress is not None:
-            progress(cell, entry)
+        logger.info(
+            "%s n=%d k=%d batch=%d %s: sim %s (%.2fx) empirical recall %.4f",
+            algo, cell.n, cell.k, cell.batch, label,
+            format_time(run.time), entry["speedup"], empirical,
+        )
     return {
         "n": cell.n,
         "k": cell.k,
@@ -290,22 +293,17 @@ def measure_serve(
 
 
 def collect_snapshot(
-    regimes: tuple[RecallCell, ...] = DEFAULT_REGIMES,
+    tiny: bool = False,
     *,
     gpu: str = "A100",
     seed: int = 0,
-    variants: tuple = APPROX_VARIANTS,
-    serve: bool = True,
     rev: str | None = None,
-    progress=None,
 ) -> dict:
-    """Measure every regime (plus the serving gate) into a validated
-    ``repro.bench.recall/v1`` payload."""
+    """Measure every pinned (or ``tiny``) regime plus the serving gate
+    into a validated ``repro.bench.recall/v1`` payload."""
     cells = [
-        measure_cell(
-            cell, gpu=gpu, seed=seed, variants=variants, progress=progress
-        )
-        for cell in regimes
+        measure_cell(cell, gpu=gpu, seed=seed)
+        for cell in (TINY_REGIMES if tiny else DEFAULT_REGIMES)
     ]
     snapshot = {
         "schema": SCHEMA_ID,
@@ -313,38 +311,29 @@ def collect_snapshot(
         "gpu": gpu,
         "seed": int(seed),
         "cells": cells,
-        "serve": (
-            measure_serve(gpu=gpu, seed=seed)
-            if serve
-            else {
-                "requests": 0,
-                "served": 0,
-                "approx_served": 0,
-                "recall_violations": 0,
-                "min_recall": 0.0,
-                "approx_fraction": 0.0,
-            }
-        ),
+        "serve": measure_serve(gpu=gpu, seed=seed),
     }
     validate(snapshot, SNAPSHOT_SCHEMA)
     return snapshot
 
 
-def gate_recall(
-    snapshot: dict,
-    *,
-    min_speedup: float = ACCEPT_SPEEDUP,
-    at_recall: float = ACCEPT_RECALL,
-) -> list[str]:
+def gate_recall(snapshot: dict) -> list[str]:
     """Every gate violation in ``snapshot`` (empty list = gate passes).
 
-    Three contracts are checked: each measured point's empirical recall
-    clears its promised floor; each acceptance regime has a point at
-    ``>= at_recall`` empirical recall beating the exact baseline by
-    ``>= min_speedup``; and the serving run (when it carried approximate
-    traffic) finished with zero recall violations.
+    Four contracts are checked: each measured point's empirical recall
+    clears its promised floor; a snapshot of the pinned grid (anything
+    but exactly :data:`TINY_REGIMES`) has an acceptance regime, and each
+    acceptance regime has a point at ``>= ACCEPT_RECALL`` empirical
+    recall beating the exact baseline by ``>= ACCEPT_SPEEDUP``; and the
+    serving run served approximate results with zero recall violations.
     """
     failures: list[str] = []
+    tiny = [
+        (c["n"], c["k"], c["batch"], c["distribution"])
+        for c in snapshot["cells"]
+    ] == [(c.n, c.k, c.batch, c.distribution) for c in TINY_REGIMES]
+    if not tiny and not any(c["acceptance"] for c in snapshot["cells"]):
+        failures.append("pinned regimes lost their acceptance cell")
     for cell in snapshot["cells"]:
         label = (
             f"n={cell['n']} k={cell['k']} batch={cell['batch']} "
@@ -362,23 +351,23 @@ def gate_recall(
                 (
                     p["speedup"]
                     for p in cell["points"]
-                    if p["empirical_recall"] >= at_recall
+                    if p["empirical_recall"] >= ACCEPT_RECALL
                 ),
                 default=0.0,
             )
-            if best < min_speedup:
+            if best < ACCEPT_SPEEDUP:
                 failures.append(
-                    f"{label}: best speedup at recall >= {at_recall:g} is "
-                    f"{best:.2f}x, need >= {min_speedup:g}x vs "
+                    f"{label}: best speedup at recall >= {ACCEPT_RECALL:g} "
+                    f"is {best:.2f}x, need >= {ACCEPT_SPEEDUP:g}x vs "
                     f"{cell['exact_algo']}"
                 )
     serve = snapshot["serve"]
-    if serve["requests"] and serve["recall_violations"]:
+    if serve["recall_violations"]:
         failures.append(
             f"serve: {serve['recall_violations']} request(s) finished below "
             f"min_recall={serve['min_recall']:g}"
         )
-    if serve["requests"] and not serve["approx_served"]:
+    if not serve["approx_served"]:
         failures.append(
             "serve: mixed load served no approximate results — the quality "
             "dispatcher never engaged"
@@ -387,8 +376,8 @@ def gate_recall(
 
 
 def render_recall_report(snapshot: dict) -> str:
-    """The Pareto tables ``repro-topk recall-bench`` prints."""
-    out = [f"recall-bench on {snapshot['gpu']} (rev {snapshot['rev']}, "
+    """The Pareto tables ``repro-topk bench recall`` prints."""
+    out = [f"bench recall on {snapshot['gpu']} (rev {snapshot['rev']}, "
            f"seed {snapshot['seed']})"]
     for cell in snapshot["cells"]:
         tag = "  [acceptance regime]" if cell["acceptance"] else ""
@@ -418,28 +407,11 @@ def render_recall_report(snapshot: dict) -> str:
             )
         )
     serve = snapshot["serve"]
-    if serve["requests"]:
-        out.append(
-            f"\nserve gate: {serve['requests']} requests "
-            f"({serve['approx_fraction'] * 100:g}% at min_recall="
-            f"{serve['min_recall']:g}): approx_served="
-            f"{serve['approx_served']} recall_violations="
-            f"{serve['recall_violations']}"
-        )
+    out.append(
+        f"\nserve gate: {serve['requests']} requests "
+        f"({serve['approx_fraction'] * 100:g}% at min_recall="
+        f"{serve['min_recall']:g}): approx_served="
+        f"{serve['approx_served']} recall_violations="
+        f"{serve['recall_violations']}"
+    )
     return "\n".join(out)
-
-
-def write_snapshot(snapshot: dict, path: Path | str) -> Path:
-    """Validate and write the snapshot JSON to ``path``."""
-    validate(snapshot, SNAPSHOT_SCHEMA)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read and schema-validate a snapshot file."""
-    payload = json.loads(Path(path).read_text())
-    validate(payload, SNAPSHOT_SCHEMA)
-    return payload

@@ -7,8 +7,8 @@ Examples::
     python -m repro sweep --vary n --k 256 --points 2^12:2^26 --workers 4
     python -m repro sweep --workers 4 --trace out.json --metrics metrics.json
     python -m repro auto --n 2^24 --k 1024
-    python -m repro recall-bench --out recall_bench.json
-    python -m repro cluster-bench --faults benchmarks/fault_plans/cluster.json
+    python -m repro bench recall --out out/bench/recall.json
+    python -m repro bench perf --baseline BENCH_6c83ac2.json
     python -m repro drift results.csv
     python -m repro inspect out/manifest.json
     python -m repro table2
@@ -29,7 +29,6 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import algorithm_names, obs
-from .cluster import PLACEMENTS as CLUSTER_PLACEMENTS
 from .bench import (
     ALL_ALGORITHMS,
     BenchPoint,
@@ -43,6 +42,7 @@ from .bench import (
     table2,
     write_csv,
 )
+from .bench.harness import BENCHES, BY_SCHEMA, load_snapshot, write_snapshot
 from .datagen import DISTRIBUTIONS
 from .device import PRESETS, get_spec, timeline_spans
 from .perf import DEFAULT_EXACT_CAP, render_roofline, simulate_topk, sol_report
@@ -402,206 +402,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_logging(p_drift)
 
-    p_pg = sub.add_parser(
-        "perf-bench",
-        help="run the pinned perf-gate grid and write a BENCH_<rev>.json "
-        "snapshot (simulated time + emulation wall-clock per cell); "
-        "compares against the previous snapshot and fails on hot-path "
-        "wall-clock regressions",
+    p_bench = sub.add_parser(
+        "bench",
+        help="run one gated snapshot bench: perf (pinned wall-clock grid "
+        "vs a baseline BENCH_<rev>.json), recall (approximate-tier Pareto "
+        "sweep), adapt (adaptive-dispatch regret under a device shift) or "
+        "cluster (node scaling sweep + chaos cell)",
     )
-    p_pg.add_argument(
-        "--repeats", type=int, default=3, help="wall-clock takes best-of-N"
+    p_bench.add_argument("name", choices=sorted(BENCHES), help="bench to run")
+    p_bench.add_argument(
+        "--tiny",
+        action="store_true",
+        help="use the reduced smoke grid instead of the pinned one",
     )
-    p_pg.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="fractional wall-clock regression allowed on hot cells "
-        "(default 0.25)",
-    )
-    p_pg.add_argument(
+    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument(
         "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
     )
-    p_pg.add_argument("--seed", type=int, default=0)
-    p_pg.add_argument(
-        "--out", default=".", help="directory for the BENCH_<rev>.json snapshot"
+    p_bench.add_argument(
+        "--out", default=None, metavar="PATH", help="write the snapshot JSON here"
     )
-    p_pg.add_argument(
+    p_bench.add_argument(
+        "--no-gate",
+        action="store_true",
+        help="measure and report without gating",
+    )
+    p_bench.add_argument(
         "--baseline",
         default=None,
-        help="snapshot to gate against (default: newest BENCH_*.json in "
-        "--out, other than the one just written)",
-    )
-    p_pg.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and write the snapshot without comparing",
-    )
-    p_pg.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke grid instead of the pinned grid",
-    )
-    add_logging(p_pg)
-
-    p_rb = sub.add_parser(
-        "recall-bench",
-        help="Pareto sweep of the approximate tier (recall vs simulated "
-        "time vs QPS per pinned regime) plus a mixed-load serving run; "
-        "gates empirical recall against the promised floors and the "
-        "acceptance regime's speedup headline",
-    )
-    p_rb.add_argument(
-        "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
-    )
-    p_rb.add_argument("--seed", type=int, default=0)
-    p_rb.add_argument(
-        "--out",
-        default=None,
         metavar="PATH",
-        help="write the repro.bench.recall/v1 snapshot JSON here",
+        help="perf only, required unless --no-gate: snapshot whose hot-cell "
+        "wall-clock the run is gated against",
     )
-    p_rb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke grid instead of the pinned regimes "
-        "(skips the acceptance-speedup gate)",
-    )
-    p_rb.add_argument(
-        "--no-serve",
-        action="store_true",
-        help="skip the mixed-load serving gate (offline sweep only)",
-    )
-    p_rb.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and report without gating",
-    )
-    add_logging(p_rb)
-
-    p_cb = sub.add_parser(
-        "cluster-bench",
-        help="node-count scaling sweep of the simulated cluster (capacity "
-        "vs nodes at the 200 QPS acceptance load) plus a chaos cell under "
-        "a pinned node-fault plan; gates near-linear scaling and "
-        "availability under replica loss",
-    )
-    p_cb.add_argument(
-        "--nodes",
-        default=None,
-        metavar="N,N,...",
-        help="comma-separated node counts to sweep (default 1,2,4)",
-    )
-    p_cb.add_argument(
-        "--replication",
-        type=int,
-        default=2,
-        help="replicas per data partition (default 2)",
-    )
-    p_cb.add_argument(
-        "--placement",
-        choices=CLUSTER_PLACEMENTS,
-        default="least-loaded",
-        help="replica placement policy (default least-loaded)",
-    )
-    p_cb.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="data partitions per large request (default: node count)",
-    )
-    p_cb.add_argument(
-        "--gpu", choices=sorted(PRESETS), default="A100", help="simulated board"
-    )
-    p_cb.add_argument("--seed", type=int, default=0)
-    p_cb.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="host threads running node replicas (results are identical "
-        "for any value; >1 only changes wall-clock)",
-    )
-    p_cb.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help="JSON fault plan (repro.faults.plan/v1) for the chaos cell; "
-        "default is the pinned plan mirrored at "
-        "benchmarks/fault_plans/cluster.json",
-    )
-    p_cb.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the chaos cell (scaling sweep only)",
-    )
-    p_cb.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the repro.bench.cluster/v1 snapshot JSON here",
-    )
-    p_cb.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke workload instead of the pinned "
-        "acceptance load (skips the scaling-speedup gate)",
-    )
-    p_cb.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and report without gating",
-    )
-    add_logging(p_cb)
-
-    p_ab = sub.add_parser(
-        "adapt-bench",
-        help="regret bench of online adaptive dispatch: replay a decision "
-        "stream with a mid-run device-spec shift and gate the adaptive "
-        "dispatcher's post-shift cumulative regret against static "
-        "cost-model dispatch (plus byte-identity and no-telemetry no-op)",
-    )
-    p_ab.add_argument(
-        "--gpu",
-        choices=sorted(PRESETS),
-        default="A100",
-        help="the board the cost model believes it is on",
-    )
-    p_ab.add_argument(
-        "--gpu-shift",
-        choices=sorted(PRESETS),
-        default="V100",
-        help="the board the device silently becomes mid-stream",
-    )
-    p_ab.add_argument("--seed", type=int, default=0)
-    p_ab.add_argument(
-        "--decisions",
-        type=int,
-        default=None,
-        help="length of the dispatch decision stream (default 240, "
-        "tiny 80); the shift lands halfway",
-    )
-    p_ab.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the repro.bench.adapt/v1 snapshot JSON here",
-    )
-    p_ab.add_argument(
-        "--tiny",
-        action="store_true",
-        help="use the reduced smoke grid instead of the pinned regimes",
-    )
-    p_ab.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="measure and report without gating",
-    )
-    add_logging(p_ab)
+    add_logging(p_bench)
 
     p_ins = sub.add_parser(
         "inspect",
         help="validate and summarise a telemetry artifact "
-        "(manifest.json, metrics.json, trace JSON, or a sweep CSV)",
+        "(manifest.json, metrics.json, trace JSON, a sweep CSV or a bench "
+        "snapshot)",
     )
     p_ins.add_argument("path", help="artifact file to inspect")
     add_logging(p_ins)
@@ -1283,263 +1122,34 @@ def cmd_drift(args) -> int:
     return 0
 
 
-def cmd_perf_bench(args) -> int:
-    from .bench import perfgate
-
-    grid = perfgate.TINY_GRID if args.tiny else perfgate.PINNED_GRID
-    logger.info(
-        "perf-gate: %d cells, best-of-%d wall clock", len(grid), args.repeats
-    )
-
-    def show(entry) -> None:
-        logger.info(
-            "%s n=%d k=%d batch=%d: sim %s wall %.4fs",
-            entry["algo"],
-            entry["n"],
-            entry["k"],
-            entry["batch"],
-            format_time(entry["sim_time_s"]),
-            entry["wall_s"],
-        )
-
-    snapshot = perfgate.collect_snapshot(
-        grid,
-        gpu=args.gpu,
-        repeats=args.repeats,
-        seed=args.seed,
-        progress=show,
-    )
-    rows = [
-        (
-            c["algo"],
-            c["n"],
-            c["k"],
-            c["batch"],
-            "hot" if c["hot"] else "cold",
-            format_time(c["sim_time_s"]),
-            f"{c['wall_s']:.4f}s",
-        )
-        for c in snapshot["cells"]
-    ]
-    print(
-        format_table(
-            ["algo", "n", "k", "batch", "gate", "sim", "wall"], rows
-        )
-    )
-    # resolve and read the baseline *before* writing: re-running at the
-    # same revision overwrites the previous snapshot, which must still be
-    # the one gated against
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else perfgate.find_baseline(args.out)
-    )
-    baseline = (
-        perfgate.load_snapshot(baseline_path)
-        if baseline_path is not None
-        else None
-    )
-    path = perfgate.write_snapshot(snapshot, args.out)
-    print(f"snapshot: {path}")
-    if args.no_gate:
-        return 0
-    if baseline is None:
-        print("no baseline snapshot found; gate skipped")
-        return 0
-    tolerance = (
-        args.tolerance if args.tolerance is not None
-        else perfgate.DEFAULT_TOLERANCE
-    )
-    report = perfgate.compare_snapshots(baseline, snapshot, tolerance=tolerance)
-    print(f"baseline: {baseline_path} (rev {baseline['rev']})")
-    for note in report.notes:
-        print(f"note: {note}")
-    for line in report.regressions:
-        print(f"REGRESSION: {line}")
-    if not report.ok:
-        logger.error(
-            "%d hot-path wall-clock regression(s)", len(report.regressions)
-        )
-        return 1
-    print("perf gate: ok")
-    return 0
-
-
-def cmd_recall_bench(args) -> int:
-    from .bench import recallbench
-
-    regimes = (
-        recallbench.TINY_REGIMES if args.tiny else recallbench.DEFAULT_REGIMES
-    )
-    logger.info(
-        "recall-bench: %d regimes x %d configs%s",
-        len(regimes),
-        len(recallbench.APPROX_VARIANTS),
-        "" if args.no_serve else " + mixed-load serve gate",
-    )
-
-    def show(cell, entry) -> None:
-        logger.info(
-            "%s n=%d k=%d batch=%d %s: sim %s (%.2fx) empirical recall %.4f",
-            entry["algo"],
-            cell.n,
-            cell.k,
-            cell.batch,
-            entry["label"],
-            format_time(entry["sim_time_s"]),
-            entry["speedup"],
-            entry["empirical_recall"],
-        )
-
-    snapshot = recallbench.collect_snapshot(
-        regimes,
-        gpu=args.gpu,
-        seed=args.seed,
-        serve=not args.no_serve,
-        progress=show,
-    )
-    print(recallbench.render_recall_report(snapshot))
-    if args.out:
-        path = recallbench.write_snapshot(snapshot, args.out)
-        print(f"snapshot: {path}")
-    if args.no_gate:
-        return 0
-    failures = recallbench.gate_recall(snapshot)
-    for line in failures:
-        print(f"GATE FAIL: {line}")
-    if failures:
-        logger.error("%d recall-gate failure(s)", len(failures))
-        return 1
-    print("recall gate: ok")
-    return 0
-
-
-def cmd_adapt_bench(args) -> int:
-    from .bench import adaptbench
-
-    if args.gpu_shift == args.gpu:
-        logger.error("--gpu-shift must differ from --gpu")
+def cmd_bench(args) -> int:
+    bench = BENCHES[args.name]
+    if args.baseline and args.name != "perf":
+        logger.error("--baseline applies to the perf bench only")
         return 2
-    regimes = (
-        adaptbench.TINY_REGIMES if args.tiny else adaptbench.DEFAULT_REGIMES
-    )
-    decisions = args.decisions or (80 if args.tiny else 240)
-    logger.info(
-        "adapt-bench: %d regimes x %d candidates, %d decisions, "
-        "%s -> %s shift at %d",
-        len(regimes),
-        len(adaptbench.CANDIDATES),
-        decisions,
-        args.gpu,
-        args.gpu_shift,
-        decisions // 2,
-    )
-
-    def show(cell, entry) -> None:
-        logger.info(
-            "n=%d k=%d batch=%d: static %s, oracle %s -> %s%s",
-            cell.n,
-            cell.k,
-            cell.batch,
-            entry["static_algo"],
-            entry["oracle_pre"],
-            entry["oracle_post"],
-            " (flip)" if entry["oracle_pre"] != entry["oracle_post"] else "",
-        )
-
-    snapshot = adaptbench.collect_snapshot(
-        regimes,
-        gpu=args.gpu,
-        gpu_shift=args.gpu_shift,
-        seed=args.seed,
-        decisions=decisions,
-        progress=show,
-    )
-    print(adaptbench.render_adapt_report(snapshot))
+    if args.name == "perf" and not (args.baseline or args.no_gate):
+        logger.error("bench perf needs --baseline PATH (or --no-gate)")
+        return 2
+    # read the baseline before writing: --out may name the same file
+    baseline = load_snapshot(args.baseline) if args.baseline else None
+    if baseline is not None and baseline["schema"] != bench.module.SCHEMA_ID:
+        logger.error("%s is not a perf snapshot", args.baseline)
+        return 2
+    snapshot = bench.module.collect_snapshot(args.tiny, gpu=args.gpu, seed=args.seed)
+    print(bench.render(snapshot))
     if args.out:
-        path = adaptbench.write_snapshot(snapshot, args.out)
-        print(f"snapshot: {path}")
+        print(f"snapshot: {write_snapshot(snapshot, args.out)}")
     if args.no_gate:
         return 0
-    failures = adaptbench.gate_adapt(snapshot)
-    for line in failures:
-        print(f"GATE FAIL: {line}")
-    if failures:
-        logger.error("%d adapt-gate failure(s)", len(failures))
-        return 1
-    print("adapt gate: ok")
-    return 0
-
-
-def cmd_cluster_bench(args) -> int:
-    from .bench import clusterbench
-    from .faults import FaultPlan
-
-    if args.nodes:
-        try:
-            node_counts = tuple(
-                int(part) for part in args.nodes.split(",") if part.strip()
-            )
-        except ValueError:
-            logger.error("--nodes must be a comma-separated list of ints")
-            return 2
-        if not node_counts or any(n < 1 for n in node_counts):
-            logger.error("--nodes needs at least one count >= 1")
-            return 2
-    else:
-        node_counts = clusterbench.DEFAULT_NODE_COUNTS
-    if args.no_chaos:
-        chaos_plan = None
-    elif args.faults:
-        chaos_plan = FaultPlan.load(args.faults)
-    else:
-        chaos_plan = clusterbench.DEFAULT_CHAOS_PLAN
-    logger.info(
-        "cluster-bench: nodes %s, R=%d, placement %s%s",
-        ",".join(str(n) for n in node_counts),
-        args.replication,
-        args.placement,
-        "" if chaos_plan is None else " + chaos cell",
-    )
-
-    def show(cell) -> None:
-        logger.info(
-            "%d node(s): capacity %.0f rps (%.2fx), availability %.4f",
-            cell["nodes"],
-            cell["capacity_rps"],
-            cell["speedup"],
-            cell["availability"],
-        )
-
-    snapshot = clusterbench.collect_snapshot(
-        node_counts=node_counts,
-        replication=args.replication,
-        placement=args.placement,
-        partitions=args.partitions,
-        gpu=args.gpu,
-        seed=args.seed,
-        workers=args.workers,
-        chaos_plan=chaos_plan,
-        tiny=args.tiny,
-        progress=show,
-    )
-    print(clusterbench.render_cluster_report(snapshot))
-    if args.out:
-        path = clusterbench.write_snapshot(snapshot, args.out)
-        print(f"snapshot: {path}")
-    if args.no_gate:
-        return 0
-    # the tiny smoke workload is launch-bound, so only the full
-    # acceptance load is held to the scaling floor
-    failures = clusterbench.gate_cluster(
-        snapshot, min_speedup=0.0 if args.tiny else clusterbench.ACCEPT_SPEEDUP
+    failures = (
+        bench.gate(snapshot, baseline) if baseline else bench.gate(snapshot)
     )
     for line in failures:
         print(f"GATE FAIL: {line}")
     if failures:
-        logger.error("%d cluster-gate failure(s)", len(failures))
+        logger.error("%d %s-gate failure(s)", len(failures), args.name)
         return 1
-    print("cluster gate: ok")
+    print(f"{args.name} gate: ok")
     return 0
 
 
@@ -1620,45 +1230,17 @@ def cmd_inspect(args) -> int:
         ]
         print(format_table(["field", "value"], rows))
         return 0
-    if schema == "repro.bench.recall/v1":
-        from .bench.recallbench import SNAPSHOT_SCHEMA, gate_recall
-
-        obs.schema.validate(payload, SNAPSHOT_SCHEMA)
-        failures = gate_recall(payload)
-        points = sum(len(c["points"]) for c in payload["cells"])
+    if schema in BY_SCHEMA:
+        name = BY_SCHEMA[schema]
+        bench = BENCHES[name]
+        obs.schema.validate(payload, bench.module.SNAPSHOT_SCHEMA)
+        print(bench.render(payload))
+        failures = bench.gate(payload)
+        for line in failures:
+            print(f"GATE FAIL: {line}")
         print(
-            f"{path}: valid recall-bench snapshot "
-            f"({len(payload['cells'])} regimes, {points} points, "
-            f"gate {'FAIL' if failures else 'ok'})"
-        )
-        return 0
-    if schema == "repro.bench.cluster/v1":
-        from .bench.clusterbench import SNAPSHOT_SCHEMA, gate_cluster
-
-        obs.schema.validate(payload, SNAPSHOT_SCHEMA)
-        failures = gate_cluster(payload, min_speedup=0.0)
-        counts = ",".join(str(c["nodes"]) for c in payload["sweep"])
-        chaos = payload.get("chaos")
-        print(
-            f"{path}: valid cluster-bench snapshot "
-            f"(nodes {counts}, chaos "
-            f"{'absent' if chaos is None else 'present'}, "
-            f"gate {'FAIL' if failures else 'ok'})"
-        )
-        return 0
-    if schema == "repro.bench.adapt/v1":
-        from .bench.adaptbench import SNAPSHOT_SCHEMA, gate_adapt
-
-        obs.schema.validate(payload, SNAPSHOT_SCHEMA)
-        failures = gate_adapt(payload)
-        ratio = payload["post_shift"]["ratio"]
-        print(
-            f"{path}: valid adapt-bench snapshot "
-            f"({len(payload['regimes'])} regimes, "
-            f"{payload['gpu']} -> {payload['gpu_shift']}, "
-            f"post-shift ratio "
-            f"{'inf' if ratio is None else f'{ratio:.2f}x'}, "
-            f"gate {'FAIL' if failures else 'ok'})"
+            f"{path}: valid {name} bench snapshot "
+            f"(gate {'FAIL' if failures else 'ok'})"
         )
         return 0
     if schema == "repro.perf.corrections/v1":
@@ -1716,10 +1298,7 @@ COMMANDS = {
     "serve-bench": cmd_serve_bench,
     "serve-report": cmd_serve_report,
     "drift": cmd_drift,
-    "perf-bench": cmd_perf_bench,
-    "recall-bench": cmd_recall_bench,
-    "adapt-bench": cmd_adapt_bench,
-    "cluster-bench": cmd_cluster_bench,
+    "bench": cmd_bench,
     "inspect": cmd_inspect,
 }
 

@@ -13,7 +13,7 @@ workers=N holds cluster-wide).
 
 Pinned by tests/test_cluster.py (differential layer) and
 tests/test_cluster_chaos.py (chaos properties); swept by
-``repro-topk cluster-bench`` into ``repro.bench.cluster/v1`` manifests.
+``repro-topk bench cluster`` into ``repro.bench.cluster/v1`` manifests.
 """
 
 from .node import ClusterNode, build_nodes, node_fault_plan

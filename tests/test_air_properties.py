@@ -27,9 +27,6 @@ from repro.core.air_topk import AIRTopK
 from repro.primitives import digit_layout, priority_keys
 from repro.verify import check_topk
 
-settings.register_profile("air", deadline=None, max_examples=40)
-settings.load_profile("air")
-
 
 @st.composite
 def problems(draw):
@@ -53,6 +50,7 @@ def problems(draw):
 
 
 class TestAdaptiveBuffering:
+    @settings(deadline=None, max_examples=40)
     @given(problems(), st.sampled_from([4.0, 16.0, 128.0]))
     def test_buffers_only_below_threshold(self, problem, alpha):
         data, k = problem
@@ -71,6 +69,7 @@ class TestAdaptiveBuffering:
             else:
                 assert rec.candidates_in >= n / alpha
 
+    @settings(deadline=None, max_examples=40)
     @given(problems())
     def test_adaptive_off_always_buffers(self, problem):
         data, k = problem
@@ -79,6 +78,7 @@ class TestAdaptiveBuffering:
         for rec in algo.last_trace:
             assert rec.buffered == (rec.pass_index > 0)
 
+    @settings(deadline=None, max_examples=40)
     @given(problems())
     def test_trace_bookkeeping_is_consistent(self, problem):
         """Within a row, pass p+1 consumes exactly pass p's survivors."""
@@ -99,6 +99,7 @@ class TestAdaptiveBuffering:
 
 
 class TestEarlyStopping:
+    @settings(deadline=None, max_examples=40)
     @given(problems())
     def test_never_drops_a_winner(self, problem):
         data, k = problem
@@ -113,6 +114,7 @@ class TestEarlyStopping:
         keys_off = np.sort(priority_keys(res_off.values[None, :]))
         assert np.array_equal(keys_on, keys_off)
 
+    @settings(deadline=None, max_examples=40)
     @given(problems())
     def test_stop_fires_exactly_at_k_equals_count(self, problem):
         data, k = problem
@@ -143,6 +145,7 @@ class TestDigitSchedule:
             covered |= bits
         assert covered == set(range(32))
 
+    @settings(deadline=None, max_examples=40)
     @given(
         st.sampled_from([8, 16, 32, 64]),
         st.integers(min_value=1, max_value=16),
@@ -166,6 +169,7 @@ class TestDigitSchedule:
             rebuilt |= digit << p.shift
         assert rebuilt == key
 
+    @settings(deadline=None, max_examples=40)
     @given(problems())
     def test_air_trace_never_exceeds_pass_count(self, problem):
         data, k = problem

@@ -304,7 +304,7 @@ class TestRecallBench:
     def test_tiny_snapshot_validates_and_gates(self):
         from repro.bench import recallbench as rb
 
-        snap = rb.collect_snapshot(rb.TINY_REGIMES, seed=0, serve=False)
+        snap = rb.collect_snapshot(tiny=True, seed=0)
         assert snap["schema"] == rb.SCHEMA_ID
         (cell,) = snap["cells"]
         assert cell["points"], "no approximate points measured"
@@ -313,6 +313,12 @@ class TestRecallBench:
             assert p["qps_capacity"] > 0
         # speedup gate only applies to acceptance regimes (tiny has none)
         assert rb.gate_recall(snap) == []
+        # the same cells at another size are not the tiny grid, so the
+        # missing acceptance regime fails
+        cell["n"] *= 2
+        assert rb.gate_recall(snap) == [
+            "pinned regimes lost their acceptance cell"
+        ]
 
     def test_gate_flags_floor_miss_and_headline_miss(self):
         from repro.bench import recallbench as rb

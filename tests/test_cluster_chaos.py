@@ -56,8 +56,8 @@ def chaos_trace(*, count=40, n=1 << 15, seed=0):
 # --------------------------------------------------------------------------- #
 class TestPinnedPlan:
     def test_plan_file_matches_the_bench_default(self):
-        # CI runs cluster-bench --faults benchmarks/fault_plans/cluster.json;
-        # the bench's built-in default must be the same scenario
+        # the chaos cell of `bench cluster` runs the built-in default; the
+        # plan file documents it and must stay the same scenario
         assert FaultPlan.load(PLAN_PATH) == DEFAULT_CHAOS_PLAN
 
     def test_plan_crashes_exactly_one_replica_of_four(self):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,20 @@ class TestExamples:
         text = (ROOT / "examples" / f"{name}.py").read_text()
         assert "def main()" in text
         assert '__main__' in text
+
+    def test_quickstart_exits_zero(self):
+        """The quickstart's roster loop checks exact methods against the
+        oracle and reports the recall floor of approximate ones."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / "quickstart.py")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "recall >=" in proc.stdout

@@ -33,9 +33,6 @@ from repro.device import Device, get_spec
 from repro.perf import calibration as cal
 from repro.serve import sharded_topk
 
-settings.register_profile("fused", deadline=None, max_examples=25)
-settings.load_profile("fused")
-
 SPEC = get_spec("A100")
 
 #: algorithms with a vectorised (one launch set per pass) batched path
@@ -76,6 +73,7 @@ def _run_counted(algo: str, data: np.ndarray, k: int):
 
 @pytest.mark.parametrize("algo", FUSED)
 class TestRowOrderEquivariance:
+    @settings(deadline=None, max_examples=25)
     @given(
         batch=st.integers(min_value=2, max_value=23),
         n=st.sampled_from([64, 256, 1024]),
