@@ -65,11 +65,16 @@ class ClusterNode:
         largest: bool,
         arrival_s: float,
         *,
+        fingerprint: str,
         deadline_s: float | None = None,
         slo: tuple | None = None,
         orphan: bool = False,
     ) -> int:
-        """Enqueue one sub-query; returns its node-local rid."""
+        """Enqueue one sub-query; returns its node-local rid.
+
+        ``fingerprint`` is the sub-query's result-cache key, derived by
+        the router from its placement hash, so the node hashes nothing.
+        """
         rid = len(self.requests)
         self.requests.append(
             Request(
@@ -80,6 +85,7 @@ class ClusterNode:
                 arrival_s=arrival_s,
                 deadline_s=deadline_s,
                 slo=slo,
+                fingerprint=fingerprint,
             )
         )
         if orphan:

@@ -273,7 +273,13 @@ class ClusterRouter:
         parts: list[_Partition] = []
         for p, (start, end) in enumerate(bounds):
             part = _Partition(index=p, start=start, end=end)
-            data = request.data[start:end] if count > 1 else request.data
+            if count > 1:
+                # a partition's content is fixed by the payload and its
+                # bounds, so the placement hash keys it: nodes hash nothing
+                data = request.data[start:end]
+                sub_key = f"{key}[{start}:{end}]"
+            else:
+                data, sub_key = request.data, key
             k_p = min(request.k, end - start)
             replicas = self.placement.replica_set(key, p)
             for node_id in replicas:
@@ -293,6 +299,7 @@ class ClusterRouter:
                         k_p,
                         request.largest,
                         arrival,
+                        fingerprint=sub_key,
                         deadline_s=request.deadline_s,
                         slo=request.slo if count == 1 else None,
                         orphan=True,
@@ -306,6 +313,7 @@ class ClusterRouter:
                     k_p,
                     request.largest,
                     arrival,
+                    fingerprint=sub_key,
                     deadline_s=request.deadline_s,
                     slo=request.slo if count == 1 else None,
                 )

@@ -53,16 +53,22 @@ def encode(values: np.ndarray) -> np.ndarray:
     if dt not in _UNSIGNED_VIEW:
         raise TypeError(f"unsupported radix key dtype {dt}")
     utype = _UNSIGNED_VIEW[dt]
+    bits = key_bits(dt)
+    sign_mask = utype.type(1) << utype.type(bits - 1)
     if dt.kind == "f":
-        values = np.where(np.isnan(values), np.asarray(np.nan, dtype=dt), values)
+        nan = np.isnan(values)
+        if nan.any():
+            values = np.where(nan, np.asarray(np.nan, dtype=dt), values)
         u = values.view(utype)
-        sign_mask = utype.type(1) << utype.type(key_bits(dt) - 1)
-        negative = (u & sign_mask) != 0
-        return np.where(negative, ~u, u | sign_mask)
+        # branch-free: the arithmetic shift smears the sign bit into an
+        # all-ones (negative) or all-zeros mask; negatives flip every
+        # bit, non-negatives only the sign bit
+        flip = (u.view(f"i{dt.itemsize}") >> (bits - 1)).view(utype)
+        flip |= sign_mask
+        flip ^= u
+        return flip
     if dt.kind == "i":
-        u = values.view(utype)
-        sign_mask = utype.type(1) << utype.type(key_bits(dt) - 1)
-        return u ^ sign_mask
+        return values.view(utype) ^ sign_mask
     return values.astype(utype, copy=False)
 
 
@@ -102,8 +108,9 @@ def priority_keys(values: np.ndarray, *, largest: bool = False) -> np.ndarray:
         return keys
     keys = invert(keys)
     if values.dtype.kind == "f":
-        nan_key = keys.dtype.type(~keys.dtype.type(0) - keys.dtype.type(1))
-        keys = np.where(np.isnan(values), nan_key, keys)
+        nan = np.isnan(values)
+        if nan.any():
+            keys[nan] = ~keys.dtype.type(0) - keys.dtype.type(1)
     return keys
 
 

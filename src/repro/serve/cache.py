@@ -10,8 +10,8 @@ Two things are worth remembering between requests:
   bucketing keeps the table small under jittery occupancy).
 * **Results** — identical payloads recur in real serving traffic (hot
   queries, retries).  Served (values, indices) are keyed on a
-  content fingerprint of the payload plus (n, k, dtype, largest) — the
-  distribution hints that change the answer — plus the request's
+  content fingerprint of the payload (which covers its dtype and shape)
+  plus (k, largest) — the hints that change the answer — plus the request's
   *quality class*: an approximate-tier answer and the exact answer for
   the same payload are different results and must never alias (an exact
   caller getting a cached approximate answer would be a silent
@@ -34,12 +34,16 @@ import numpy as np
 
 
 def fingerprint(data: np.ndarray) -> str:
-    """Stable content hash of an array's bytes (blake2b, 16-byte digest)."""
+    """Stable content hash of an array's bytes (blake2b, 16-byte digest).
+
+    The digest also places payloads on the cluster's hash ring, so it is
+    pinned by a test: changing it moves every replica assignment.
+    """
     arr = np.ascontiguousarray(data)
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(arr.dtype).encode())
     digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
+    digest.update(arr)  # the buffer itself: no tobytes() copy
     return digest.hexdigest()
 
 
@@ -255,28 +259,22 @@ class ServeCache:
         return plan, False
 
     # -- results -------------------------------------------------------- #
+    @staticmethod
     def result_key(
-        self,
-        data: np.ndarray,
-        k: int,
-        largest: bool,
-        quality: float | None = None,
+        fp: str, k: int, largest: bool, quality: float | None = None
     ) -> tuple:
         """Cache key of one (payload, k, largest, quality-class) result.
 
-        ``quality`` is the request's quantised recall-target class
+        ``fp`` is the payload's content key: its :func:`fingerprint`, or
+        a key the cluster router derived from one (see docs/cluster.md).
+        The digest covers dtype and shape, so ``n`` needs no slot of its
+        own.  ``quality`` is the request's quantised recall-target class
         (:func:`repro.serve.batcher.quality_class`); None for exact
         traffic.  Keeping it in the key is what guarantees an exact
         request can never be served a cached approximate answer for the
         same payload, and vice versa.
         """
-        return (
-            fingerprint(data),
-            int(data.shape[-1]),
-            int(k),
-            bool(largest),
-            quality,
-        )
+        return (fp, int(k), bool(largest), quality)
 
     @staticmethod
     def _checksum(values: np.ndarray, indices: np.ndarray) -> str:
@@ -286,11 +284,7 @@ class ServeCache:
         return digest.hexdigest()
 
     def get_result(
-        self,
-        data: np.ndarray,
-        k: int,
-        largest: bool,
-        quality: float | None = None,
+        self, fp: str, k: int, largest: bool, quality: float | None = None
     ):
         """The cached ``(values, indices, meta)``, or None on miss *or*
         when the stored entry fails its integrity checksum.
@@ -302,7 +296,7 @@ class ServeCache:
         half of the circuit-breaker policy) and reported as a miss, never
         served.
         """
-        key = self.result_key(data, k, largest, quality)
+        key = self.result_key(fp, k, largest, quality)
         entry = self.results.get(key)
         if entry is None:
             self._fire("result_miss")
@@ -318,7 +312,7 @@ class ServeCache:
 
     def put_result(
         self,
-        data: np.ndarray,
+        fp: str,
         k: int,
         largest: bool,
         values: np.ndarray,
@@ -329,22 +323,18 @@ class ServeCache:
         values = np.array(values, copy=True)
         indices = np.array(indices, copy=True)
         self.results.put(
-            self.result_key(data, k, largest, quality),
+            self.result_key(fp, k, largest, quality),
             (values, indices, self._checksum(values, indices), dict(meta or {})),
         )
 
     def corrupt_result(
-        self,
-        data: np.ndarray,
-        k: int,
-        largest: bool,
-        quality: float | None = None,
+        self, fp: str, k: int, largest: bool, quality: float | None = None
     ) -> bool:
         """Flip one byte of the cached values for this key (the
         ``cache_corruption`` fault seam); returns True when an entry was
         there to corrupt.  The stored checksum is left intact, so the
         next :meth:`get_result` detects and repairs the damage."""
-        key = self.result_key(data, k, largest, quality)
+        key = self.result_key(fp, k, largest, quality)
         entry = self.results._data.get(key)
         if entry is None:
             return False

@@ -45,6 +45,11 @@ class Request:
     #: batched/cached separately from exact traffic (see GroupKey and
     #: ServeCache.result_key).
     slo: tuple | None = None
+    #: content key of ``data`` for the result cache.  The service sets it
+    #: once at admission (:func:`repro.serve.cache.fingerprint`) unless a
+    #: caller already did; the cluster router passes keys derived from
+    #: its placement hash.  ``data`` must not change after submission.
+    fingerprint: str | None = None
 
     @property
     def n(self) -> int:

@@ -42,7 +42,7 @@ from ..faults import CircuitBreaker, FaultPlan, HedgePolicy, RetryPolicy
 from ..obs import get_metrics, tracing_enabled
 from ..obs.serve import ServeTelemetry
 from .batcher import GroupKey, MicroBatcher, quality_class
-from .cache import ServeCache
+from .cache import ServeCache, fingerprint
 from .request import Outcome, Request
 from .sharder import AllShardsLost, sharded_topk
 
@@ -458,11 +458,15 @@ class TopKService:
         Returns the cached ``(values, indices)`` or None; detects
         injected corruption by checksum, repairs (evicts) the entry, and
         feeds the circuit breaker that bypasses the cache entirely while
-        open.
+        open.  This is where a request's fingerprint is taken — the only
+        hash of its payload; a disabled cache takes none.
         """
         cfg = self.config
         if cfg.result_cache <= 0:
             return None
+        if request.fingerprint is None:
+            request.fingerprint = fingerprint(request.data)
+        fp = request.fingerprint
         now_s = request.arrival_s
         quality = quality_class(request.min_recall)
         if not self.breaker.allow(now_s):
@@ -476,18 +480,14 @@ class TopKService:
             )
             return None
         if self.injector is not None and self.cache.result_key(
-            request.data, request.k, request.largest, quality
+            fp, request.k, request.largest, quality
         ) in self.cache.results:
             if self.injector.decide(
                 "cache_corruption", "serve.cache", f"rid={request.rid}"
             ):
-                self.cache.corrupt_result(
-                    request.data, request.k, request.largest, quality
-                )
+                self.cache.corrupt_result(fp, request.k, request.largest, quality)
         before = self.cache.corruptions
-        cached = self.cache.get_result(
-            request.data, request.k, request.largest, quality
-        )
+        cached = self.cache.get_result(fp, request.k, request.largest, quality)
         if self.cache.corruptions > before:
             # checksum caught a corrupt entry: repaired (evicted) above,
             # count it toward the breaker and report a miss (the cache
@@ -913,7 +913,7 @@ class TopKService:
                     or (result.recall_bound or 0.0) >= min_recall,
                 )
                 continue
-            if self.breaker.allow(request.arrival_s):
+            if cfg.result_cache > 0 and self.breaker.allow(request.arrival_s):
                 # approximate results are cached under the request's
                 # quality class with their quality annotations, so an
                 # exact lookup for the same payload can never alias them
@@ -927,7 +927,7 @@ class TopKService:
                         "algo": result.algo,
                     }
                 self.cache.put_result(
-                    request.data,
+                    request.fingerprint,
                     request.k,
                     request.largest,
                     values,

@@ -230,24 +230,24 @@ class TestQualityDispatch:
 
 class TestServeQuality:
     def test_cache_never_aliases_exact_and_approx(self, rng):
-        from repro.serve import ServeCache
+        from repro.serve import ServeCache, fingerprint
 
         cache = ServeCache()
-        data = rng.standard_normal(256).astype(np.float32)
+        fp = fingerprint(rng.standard_normal(256).astype(np.float32))
         exact_v, exact_i = np.zeros(4), np.arange(4)
-        cache.put_result(data, 4, False, exact_v, exact_i)
+        cache.put_result(fp, 4, False, exact_v, exact_i)
         cache.put_result(
-            data, 4, False, exact_v + 1, exact_i + 1, quality=0.95,
+            fp, 4, False, exact_v + 1, exact_i + 1, quality=0.95,
             meta={"exact": False, "recall_bound": 0.9, "expected_recall": 0.97},
         )
-        values, indices, meta = cache.get_result(data, 4, False)
+        values, indices, meta = cache.get_result(fp, 4, False)
         assert np.array_equal(indices, exact_i)
         assert meta == {}
-        values, indices, meta = cache.get_result(data, 4, False, quality=0.95)
+        values, indices, meta = cache.get_result(fp, 4, False, quality=0.95)
         assert np.array_equal(indices, exact_i + 1)
         assert meta["recall_bound"] == 0.9
         # distinct quality classes never alias either
-        assert cache.get_result(data, 4, False, quality=0.9) is None
+        assert cache.get_result(fp, 4, False, quality=0.9) is None
 
     def test_quality_class_quantisation(self):
         from repro.serve import quality_class

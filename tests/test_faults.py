@@ -45,6 +45,7 @@ from repro.serve import (
     ServeConfig,
     TopKService,
     build_requests,
+    fingerprint,
     run_serve_bench,
     sharded_topk,
 )
@@ -437,21 +438,22 @@ class TestCacheCorruption:
         cache = ServeCache()
         data = rng.standard_normal(256).astype(np.float32)
         result = topk(data, 8, algo="sort")
-        cache.put_result(data, 8, False, result.values, result.indices)
-        assert cache.get_result(data, 8, False) is not None
-        assert cache.corrupt_result(data, 8, False)
-        assert cache.get_result(data, 8, False) is None  # detected, evicted
+        fp = fingerprint(data)
+        cache.put_result(fp, 8, False, result.values, result.indices)
+        assert cache.get_result(fp, 8, False) is not None
+        assert cache.corrupt_result(fp, 8, False)
+        assert cache.get_result(fp, 8, False) is None  # detected, evicted
         assert cache.corruptions == 1
         assert cache.stats()["result_corruptions"] == 1
         # repaired: a fresh put serves cleanly again
-        cache.put_result(data, 8, False, result.values, result.indices)
-        values, _, _ = cache.get_result(data, 8, False)
+        cache.put_result(fp, 8, False, result.values, result.indices)
+        values, _, _ = cache.get_result(fp, 8, False)
         assert np.array_equal(values, result.values)
 
     def test_corrupt_missing_entry_is_noop(self, rng):
         cache = ServeCache()
         assert not cache.corrupt_result(
-            rng.standard_normal(64).astype(np.float32), 4, False
+            fingerprint(rng.standard_normal(64).astype(np.float32)), 4, False
         )
         assert cache.corruptions == 0
 

@@ -14,6 +14,7 @@ from repro.primitives import (
     encode,
     invert,
     key_bits,
+    priority_keys,
 )
 
 
@@ -211,3 +212,96 @@ def test_digit_order_prefix_property(values, digit_bits):
     key_order = np.argsort(keys, kind="stable")
     tuple_order = sorted(range(len(arr)), key=lambda i: (digit_tuples[i], i))
     assert list(key_order) == tuple_order
+
+
+# --------------------------------------------------------------------------- #
+# bit-exactness against the reference formulation
+# --------------------------------------------------------------------------- #
+def _oracle_encode(values: np.ndarray) -> np.ndarray:
+    """The two-sided ``np.where`` encoding: canonicalise NaN, then flip
+    every bit of negatives and only the sign bit of non-negatives."""
+    dt = values.dtype
+    utype = np.dtype(f"u{dt.itemsize}")
+    sign_mask = utype.type(1) << utype.type(dt.itemsize * 8 - 1)
+    if dt.kind == "u":
+        return values.astype(utype)
+    if dt.kind == "i":
+        return values.view(utype) ^ sign_mask
+    values = np.where(np.isnan(values), np.asarray(np.nan, dtype=dt), values)
+    u = values.view(utype)
+    negative = (u & sign_mask) != 0
+    return np.where(negative, ~u, u | sign_mask)
+
+
+def _oracle_priority_keys(values: np.ndarray, largest: bool) -> np.ndarray:
+    keys = _oracle_encode(values)
+    if not largest:
+        return keys
+    keys = ~keys
+    if values.dtype.kind == "f":
+        nan_key = keys.dtype.type(~keys.dtype.type(0) - keys.dtype.type(1))
+        keys = np.where(np.isnan(values), nan_key, keys)
+    return keys
+
+
+#: (exponent bits, mantissa bits) of each IEEE-754 float dtype
+_FLOAT_LAYOUT = {"float16": (5, 10), "float32": (8, 23), "float64": (11, 52)}
+
+
+def _float_bits(dtype: str):
+    """Bit patterns of ``dtype`` weighted toward the special classes:
+    every NaN payload (either sign), +-0, +-inf and subnormals, next to
+    arbitrary patterns."""
+    exp_bits, mant_bits = _FLOAT_LAYOUT[dtype]
+    sign = st.sampled_from([0, 1 << (exp_bits + mant_bits)])
+    mantissa = st.integers(1, (1 << mant_bits) - 1)
+    exp_max = ((1 << exp_bits) - 1) << mant_bits
+    return st.one_of(
+        st.integers(0, (1 << (1 + exp_bits + mant_bits)) - 1),
+        st.tuples(sign, mantissa).map(lambda t: t[0] | exp_max | t[1]),
+        st.tuples(sign, st.sampled_from([0, exp_max])).map(sum),
+        st.tuples(sign, mantissa).map(sum),
+    )
+
+
+def _assert_bit_identical(values: np.ndarray) -> None:
+    before = values.copy()
+    for got, want in (
+        (encode(values), _oracle_encode(values)),
+        (priority_keys(values), _oracle_priority_keys(values, False)),
+        (
+            priority_keys(values, largest=True),
+            _oracle_priority_keys(values, True),
+        ),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # the input is never written to (NaN canonicalisation copies)
+    assert np.array_equal(values.view(f"u{values.itemsize}"),
+                          before.view(f"u{values.itemsize}"))
+
+
+@pytest.mark.parametrize("dtype", sorted(_FLOAT_LAYOUT))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_float_keys_match_oracle_bit_for_bit(dtype, data):
+    bits = data.draw(st.lists(_float_bits(dtype), min_size=1, max_size=64))
+    utype = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    values = np.array(bits, dtype=utype).view(dtype)
+    _assert_bit_identical(values)
+    _assert_bit_identical(values[::2])  # strided
+    _assert_bit_identical(values.reshape(1, -1))  # batched rows
+
+
+@pytest.mark.parametrize(
+    "dtype", ["int16", "int32", "int64", "uint16", "uint32", "uint64"]
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_integer_keys_match_oracle_bit_for_bit(dtype, data):
+    bits = 8 * np.dtype(dtype).itemsize
+    words = data.draw(
+        st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=64)
+    )
+    values = np.array(words, dtype=f"u{bits // 8}").view(dtype)
+    _assert_bit_identical(values)

@@ -281,15 +281,15 @@ class TestLRUCache:
 
     def test_serve_cache_result_round_trip(self, rng):
         cache = ServeCache()
-        data = rng.standard_normal(256).astype(np.float32)
-        assert cache.get_result(data, 4, False) is None
-        cache.put_result(data, 4, False, np.zeros(4), np.arange(4))
-        values, indices, meta = cache.get_result(data, 4, False)
+        fp = fingerprint(rng.standard_normal(256).astype(np.float32))
+        assert cache.get_result(fp, 4, False) is None
+        cache.put_result(fp, 4, False, np.zeros(4), np.arange(4))
+        values, indices, meta = cache.get_result(fp, 4, False)
         assert np.array_equal(indices, np.arange(4))
         assert meta == {}
         # k and direction are part of the key
-        assert cache.get_result(data, 5, False) is None
-        assert cache.get_result(data, 4, True) is None
+        assert cache.get_result(fp, 5, False) is None
+        assert cache.get_result(fp, 4, True) is None
 
     def test_plan_cache_buckets_batch(self):
         from repro.device import A100
