@@ -38,7 +38,7 @@ from ..approx import (
 )
 from ..device import streaming_grid
 from ..perf import calibration as cal
-from ..primitives import affine_partitions, partition_topc
+from ..primitives import affine_partitions, partition_topc, select_smallest
 from .base import RunContext, TopKAlgorithm, TopKResult
 
 
@@ -123,7 +123,7 @@ class PartitionApproxTopK(TopKAlgorithm):
         # the entire point of both approximate schemes); only the final
         # result sync in select() is paid
         m = cand_keys.shape[1]
-        sel = np.argsort(cand_keys, axis=1, kind="stable")[:, : ctx.k]
+        out_keys, sel = select_smallest(cand_keys, ctx.k)
         device.launch_kernel(
             self.kernel_stage2,
             grid_blocks=streaming_grid(
@@ -134,7 +134,4 @@ class PartitionApproxTopK(TopKAlgorithm):
             block_threads=256,
             **stage2_workload(m, ctx.k, batch),
         )
-        return (
-            np.take_along_axis(cand_keys, sel, axis=1),
-            np.take_along_axis(cand_idx, sel, axis=1),
-        )
+        return out_keys, np.take_along_axis(cand_idx, sel, axis=1)

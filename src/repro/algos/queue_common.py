@@ -15,6 +15,12 @@ the qualification threshold.  They differ in *queue discipline*:
 The emulation executes lanes-in-lockstep semantics exactly, vectorised over
 independent slices (thread blocks and/or batch problems), and reports the
 event counts the cost model prices: rounds, inserts, flushes, comparators.
+It tracks only the qualification threshold — at each chunk boundary, the
+k-th smallest key of the slice's prefix — and selects the result once at
+the end: the slice's stable top-k (ties to the lower position), which is
+exactly what flushing every admitted element into a maintained top-k
+would hold, since every element never admitted already has k real
+elements ahead of it by (key, position).
 
 Fidelity note: the qualification threshold is refreshed once per emulated
 chunk rather than at every flush inside the chunk, so the emulation counts
@@ -32,7 +38,11 @@ import numpy as np
 
 from ..device import next_pow2
 from ..obs.metrics import get_metrics, metrics_enabled
-from ..primitives import comparator_count_merge, comparator_count_sort
+from ..primitives import (
+    comparator_count_merge,
+    comparator_count_sort,
+    select_smallest,
+)
 
 #: sentinel key strictly above every encodable 32-bit key (see
 #: repro.primitives.radix: float32 encodings top out at the canonical-NaN
@@ -105,27 +115,6 @@ def _thread_mode_flushes(
     return flushes, offset
 
 
-def _merge_into_maintained(
-    m_keys: np.ndarray,
-    m_idx: np.ndarray,
-    cand_keys: np.ndarray,
-    cand_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge padded candidates into the maintained per-slice top-k arrays."""
-    k = m_keys.shape[1]
-    all_keys = np.concatenate([m_keys, cand_keys], axis=1)
-    all_idx = np.concatenate([m_idx, cand_idx], axis=1)
-    # key-primary, validity-secondary: a real element whose key happens to
-    # equal the all-ones sentinel (e.g. uint32 value 0xFFFFFFFF selected
-    # smallest, or value 0 selected largest) must beat padding slots, which
-    # carry the same key but index -1
-    order = np.lexsort((all_idx < 0, all_keys))[:, :k]
-    return (
-        np.take_along_axis(all_keys, order, axis=1),
-        np.take_along_axis(all_idx, order, axis=1),
-    )
-
-
 def emulate_queue_select(
     slices: np.ndarray,
     k: int,
@@ -137,7 +126,7 @@ def emulate_queue_select(
 ) -> QueueRunResult:
     """Run the queue-select skeleton over independent slices.
 
-    ``slices`` is (num_slices, slice_len) of ``uint32`` keys (sentinel-padded
+    ``slices`` is (num_slices, slice_len) of unsigned keys (sentinel-padded
     if slice lengths differ).  ``lanes`` is the number of lockstep lanes per
     slice (32 for one warp, 128 for a 4-warp block).  ``queue_len`` is the
     per-lane queue length in ``thread`` mode, the shared-queue capacity in
@@ -170,8 +159,9 @@ def emulate_queue_select(
     stats = QueueStats()
     stats.rounds = -(-length // lanes) * num_slices
 
+    # the k smallest keys seen so far, unordered; column k-1 is their
+    # maximum, i.e. the prefix's k-th smallest key — the threshold
     m_keys = np.full((num_slices, k), sentinel, dtype=slices.dtype)
-    m_idx = np.full((num_slices, k), -1, dtype=np.int64)
     if mode == "shared":
         shared_fill = np.zeros(num_slices, dtype=np.int64)
     else:
@@ -187,13 +177,13 @@ def emulate_queue_select(
     while pos < length:
         c = min(chunk, length - pos)
         block = slices[:, pos : pos + c]
-        threshold = m_keys[:, -1][:, None]
+        threshold = m_keys[:, k - 1][:, None]
         mask = block < threshold
         # sentinel-keyed *real* elements tie with the initial threshold and
         # would never qualify under `<`; admit them while the maintained
-        # top-k still holds padding (index -1 — padding sorts last, so the
-        # final slot tells).  Refreshed per chunk, like the threshold.
-        has_pad = m_idx[:, -1] < 0
+        # top-k still holds padding, i.e. while fewer than k real elements
+        # precede the chunk.  Refreshed per chunk, like the threshold.
+        has_pad = np.minimum(pos, valid_lengths) < k
         if has_pad.any():
             is_real = (
                 np.arange(pos, pos + c, dtype=np.int64)[None, :]
@@ -239,16 +229,12 @@ def emulate_queue_select(
                 )
                 stats.flushes += f
 
-        # --- merge qualified candidates into the maintained top-k ---------
+        # --- tighten the threshold: keep the k smallest keys seen ----------
         maxc = int(per_slice_q.max()) if num_slices else 0
         if maxc:
-            cand_keys = np.full((num_slices, maxc), sentinel, dtype=slices.dtype)
-            cand_idx = np.full((num_slices, maxc), -1, dtype=np.int64)
-            rows, cols = np.nonzero(mask)
-            rank = np.cumsum(mask, axis=1)[rows, cols] - 1
-            cand_keys[rows, rank] = block[rows, cols]
-            cand_idx[rows, rank] = pos + cols
-            m_keys, m_idx = _merge_into_maintained(m_keys, m_idx, cand_keys, cand_idx)
+            m_keys = np.partition(
+                np.concatenate([m_keys, block], axis=1), k - 1, axis=1
+            )[:, :k]
 
         pos += c
         # adapt: once the threshold is tight, qualified elements are rare and
@@ -257,12 +243,20 @@ def emulate_queue_select(
             chunk = min(chunk * 2, max_chunk)
 
     stats.merge_comparators = stats.flushes * flush_cost
+    # the maintained top-k is the slice's stable top-k (ties to the lower
+    # position, so real elements beat trailing padding); select it once
+    if length < k:
+        slices = np.pad(
+            slices, ((0, 0), (0, k - length)), constant_values=sentinel
+        )
+    top_keys, top_idx = select_smallest(slices, k, kth=m_keys[:, k - 1])
+    top_idx[top_idx >= valid_lengths[:, None]] = -1
     if metrics_enabled():
         registry = get_metrics()
         registry.counter("queue.rounds", mode=mode).inc(stats.rounds)
         registry.counter("queue.inserts", mode=mode).inc(stats.inserts)
         registry.counter("queue.flushes", mode=mode).inc(stats.flushes)
-    return QueueRunResult(keys=m_keys, indices=m_idx, stats=stats)
+    return QueueRunResult(keys=top_keys, indices=top_idx, stats=stats)
 
 
 def slice_rows(
@@ -272,7 +266,9 @@ def slice_rows(
 
     Returns ``(slices, offsets)`` where ``slices`` is
     (batch * num_slices, ceil(n / num_slices)) and ``offsets`` gives each
-    slice's starting position in its original row.
+    slice's starting position in its original row.  When ``num_slices``
+    divides ``n`` the slices are a reshape of ``row_keys`` (a view of a
+    contiguous input), not a padded copy.
     """
     if row_keys.ndim != 2:
         raise ValueError(f"expected (batch, n) keys, got {row_keys.shape}")
@@ -280,10 +276,11 @@ def slice_rows(
     if num_slices <= 0:
         raise ValueError(f"num_slices must be positive, got {num_slices}")
     per = -(-n // num_slices)
+    offsets = np.tile(np.arange(num_slices, dtype=np.int64) * per, batch)
+    if per * num_slices == n:
+        return row_keys.reshape(batch * num_slices, per), offsets
     padded = np.full(
         (batch, num_slices * per), sentinel_for(row_keys.dtype), dtype=row_keys.dtype
     )
     padded[:, :n] = row_keys
-    slices = padded.reshape(batch * num_slices, per)
-    offsets = np.tile(np.arange(num_slices, dtype=np.int64) * per, batch)
-    return slices, offsets
+    return padded.reshape(batch * num_slices, per), offsets

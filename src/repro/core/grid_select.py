@@ -26,17 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..algos.base import RunContext, TopKAlgorithm
-from ..algos.queue_common import (
-    QueueStats,
-    SENTINEL,
-    emulate_queue_select,
-    slice_rows,
-)
+from ..algos.queue_common import QueueStats, emulate_queue_select, slice_rows
 from ..device import Device, GPUSpec, A100, ceil_div, next_pow2
 from ..obs.metrics import get_metrics, metrics_enabled
 from ..obs.spans import tracing_enabled
 from ..perf import calibration as cal
-from ..primitives import comparator_count_sort
+from ..primitives import comparator_count_sort, select_smallest
 
 
 class GridSelect(TopKAlgorithm):
@@ -188,6 +183,9 @@ class GridSelectStream:
     the top-k of everything pushed so far.  Useful when the scored elements
     are produced incrementally (e.g. distance computations fused with
     selection in ANN search).
+
+    The first non-empty chunk fixes the value dtype; every later chunk must
+    match it.
     """
 
     def __init__(
@@ -206,8 +204,10 @@ class GridSelectStream:
         self.largest = largest
         self.device = device if device is not None else Device(spec)
         self._seen = 0
-        self._keys = np.full(k, SENTINEL, dtype=np.uint32)
-        self._idx = np.full(k, -1, dtype=np.int64)
+        self._dtype: np.dtype | None = None
+        #: the best min(k, seen) keys so far, best first, and their positions
+        self._keys: np.ndarray | None = None
+        self._idx = np.empty(0, dtype=np.int64)
         self._queue_fill = 0
         self._flushes = 0
         self._inserts = 0
@@ -226,9 +226,20 @@ class GridSelectStream:
             raise ValueError(f"push expects a 1-d chunk, got shape {chunk.shape}")
         if chunk.size == 0:
             return
+        if self._dtype is not None and chunk.dtype != self._dtype:
+            raise TypeError(
+                f"stream holds {self._dtype} values, got a {chunk.dtype} chunk"
+            )
         keys = priority_keys(np.ascontiguousarray(chunk), largest=self.largest)
-        threshold = self._keys[-1]
-        mask = keys < threshold
+        if self._dtype is None:
+            self._dtype = chunk.dtype
+            self._keys = keys[:0]
+        if self._seen < self.k:
+            # unfilled slots admit everything: a real all-ones key (uint max
+            # ascending, int min with largest=True) must not lose to them
+            mask = np.ones(keys.shape, dtype=bool)
+        else:
+            mask = keys < self._keys[-1]
         qualified = int(mask.sum())
         self._inserts += qualified
         total = self._queue_fill + qualified
@@ -236,13 +247,15 @@ class GridSelectStream:
         self._queue_fill = total % cal.SHARED_QUEUE_LEN
 
         if qualified:
-            cand_keys = keys[mask]
-            cand_idx = np.nonzero(mask)[0].astype(np.int64) + self._seen
-            merged_keys = np.concatenate([self._keys, cand_keys])
-            merged_idx = np.concatenate([self._idx, cand_idx])
-            order = np.argsort(merged_keys, kind="stable")[: self.k]
-            self._keys = merged_keys[order]
-            self._idx = merged_idx[order]
+            cand = np.flatnonzero(mask)
+            # held keys precede the chunk's, so position ties stay stable
+            merged_keys = np.concatenate([self._keys, keys[cand]])
+            merged_idx = np.concatenate([self._idx, cand + self._seen])
+            top, sel = select_smallest(
+                merged_keys[None, :], min(self.k, merged_keys.size)
+            )
+            self._keys = top[0]
+            self._idx = merged_idx[sel[0]]
 
         n = chunk.shape[0]
         span_args = None
@@ -275,7 +288,5 @@ class GridSelectStream:
             raise ValueError(
                 f"only {self._seen} elements pushed, need at least k={self.k}"
             )
-        keys = self._keys
-        if self.largest:
-            keys = invert(keys)
-        return decode(keys, np.float32), self._idx.copy()
+        keys = invert(self._keys) if self.largest else self._keys
+        return decode(keys, self._dtype), self._idx.copy()

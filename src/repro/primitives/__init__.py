@@ -24,6 +24,7 @@ from .batched import (
     partition_topc,
     segment_min_max,
     segment_offsets,
+    select_smallest,
 )
 from .histogram import batched_digit_histogram, digit_histogram
 from .scan import (
@@ -57,6 +58,7 @@ __all__ = [
     "partition_topc",
     "segment_min_max",
     "segment_offsets",
+    "select_smallest",
     "block_scan_ops",
     "exclusive_scan",
     "find_target_bucket",

@@ -13,6 +13,8 @@ are the segment algebra those paths share:
 * :func:`head_mask` — select the first ``take[i]`` elements of each
   segment of a row-major flat array;
 * :func:`segment_min_max` — per-segment min/max reductions;
+* :func:`select_smallest` — each row's stable smallest-``k`` (exactly the
+  head of a stable argsort) without sorting whole rows;
 * :func:`affine_partitions` / :func:`partition_topc` — the batched bucket
   partition helpers of the approximate tier: a seeded affine scatter of
   positions into near-equal partitions, and per-partition best-``keep``
@@ -128,6 +130,39 @@ def segment_min_max(
     )
 
 
+def select_smallest(
+    keys: np.ndarray, k: int, kth: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``k`` smallest keys, best first, ties to the lower position.
+
+    Returns ``(keys, positions)`` of shape ``(rows, k)``, exactly what
+    ``np.argsort(keys, axis=1, kind="stable")[:, :k]`` selects, for any key
+    dtype.  Only the candidates ``<= kth`` are ordered, where ``kth`` is
+    each row's k-th smallest key: taken from ``np.partition`` unless the
+    caller already knows it (it must then be exact, or rows come up short).
+
+    >>> select_smallest(np.array([[3, 1, 3, 0, 1]], dtype=np.uint8), 3)
+    (array([[0, 1, 1]], dtype=uint8), array([[3, 1, 4]]))
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 2:
+        raise ValueError(f"keys must be 2-d, got shape {keys.shape}")
+    rows, n = keys.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if kth is None:
+        kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
+    # the flat form: a 2-d np.nonzero is several times slower on wide rows
+    flat = np.flatnonzero(keys <= kth[:, None])
+    row, col = np.divmod(flat, n)
+    cand = keys.reshape(-1)[flat]
+    # lexsort is stable, so equal keys stay in position order
+    order = np.lexsort((cand, row))
+    starts = segment_offsets(np.bincount(row, minlength=rows))[:-1]
+    take = order[(starts[:, None] + np.arange(k)).reshape(-1)]
+    return cand[take].reshape(rows, k), col[take].reshape(rows, k)
+
+
 def affine_partitions(
     n: int, parts: int, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,9 +217,10 @@ def partition_topc(
     Because near-equal splits have at most two distinct sizes, the
     ragged per-partition selection decomposes into (at most two)
     rectangular ``(batch, count, size)`` blocks, each solved by one
-    vectorised stable argsort — no padding sentinels, so ties between
-    real elements and padding can never surface.  Ties within a partition
-    break toward the lower original position.
+    :func:`select_smallest` over its ``(batch * count, size)`` rows — no
+    padding sentinels, so ties between real elements and padding can never
+    surface.  Ties within a partition break toward the lower original
+    position.
 
     Returns ``(keys, positions)`` of shape ``(batch, parts * keep)``,
     partition-major, best-first within each partition.
@@ -215,14 +251,14 @@ def partition_topc(
         size = int(sizes[run_start])
         count = i - run_start
         span = size * count
-        block = grouped[:, start : start + span].reshape(batch, count, size)
-        sel = np.argsort(block, axis=2, kind="stable")[:, :, :keep]
-        out_keys.append(
-            np.take_along_axis(block, sel, axis=2).reshape(batch, -1)
-        )
+        block = grouped[:, start : start + span].reshape(batch * count, size)
+        top, sel = select_smallest(block, keep)
+        out_keys.append(top.reshape(batch, count * keep))
         base = order[start : start + span].reshape(1, count, size)
         positions = np.take_along_axis(
-            np.broadcast_to(base, (batch, count, size)), sel, axis=2
+            np.broadcast_to(base, (batch, count, size)),
+            sel.reshape(batch, count, keep),
+            axis=2,
         )
         out_pos.append(positions.reshape(batch, -1))
         start += span

@@ -6,13 +6,14 @@ import doctest
 
 import pytest
 
+import repro.primitives.batched
 import repro.primitives.radix
 import repro.bench.report
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.primitives.radix, repro.bench.report],
+    [repro.primitives.batched, repro.primitives.radix, repro.bench.report],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

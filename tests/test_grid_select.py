@@ -7,7 +7,30 @@ import pytest
 
 from repro import GridSelect, GridSelectStream, check_topk, topk
 from repro.device import A100, A10, Device
+from repro.primitives import priority_keys
 from repro.verify import oracle_topk_values
+
+STREAM_DTYPES = [
+    np.float16, np.float32, np.float64,
+    np.int16, np.int32, np.int64,
+    np.uint16, np.uint32, np.uint64,
+]  # fmt: skip
+
+
+def stream_data(rng, dtype, n):
+    """Values with heavy ties that include the dtype's extremes (and, for
+    floats, +-inf, +-0 and NaN)."""
+    dt = np.dtype(dtype)
+    if dt.kind == "f":
+        alphabet = [-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf, np.nan]
+    else:
+        info = np.iinfo(dt)
+        alphabet = [info.min, info.min + 1, 0, 5, info.max - 1, info.max]
+    data = rng.choice(np.array(alphabet, dtype=dt), n)
+    if dt.kind == "f":
+        data[: n // 2] = rng.standard_normal(n // 2).astype(dt)
+        rng.shuffle(data)
+    return data
 
 
 class TestMultiBlock:
@@ -139,6 +162,57 @@ class TestGridSelectStream:
         stream = GridSelectStream(4)
         with pytest.raises(ValueError):
             stream.push(np.zeros((2, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("largest", [False, True])
+    @pytest.mark.parametrize("dtype", STREAM_DTYPES)
+    def test_every_dtype_matches_stable_argsort(self, rng, dtype, largest):
+        """Values decode in the input dtype; indices are the stable top-k."""
+        data = stream_data(rng, dtype, 1000)
+        want = np.argsort(priority_keys(data, largest=largest), kind="stable")
+        for k in (1, 5, 64, 1000):
+            stream = GridSelectStream(k, largest=largest)
+            for chunk in np.array_split(data, 7):
+                stream.push(chunk)
+            values, indices = stream.topk()
+            assert values.dtype == data.dtype
+            assert np.array_equal(indices, want[:k])
+            assert np.array_equal(values, data[want[:k]], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "dtype,largest,value",
+        [
+            (np.uint32, False, np.iinfo(np.uint32).max),
+            (np.uint64, False, np.iinfo(np.uint64).max),
+            (np.int32, True, np.iinfo(np.int32).min),
+            (np.int16, True, np.iinfo(np.int16).min),
+        ],
+    )
+    def test_all_ones_key_fills_slots(self, dtype, largest, value):
+        """A real element whose key is all ones still fills an empty slot."""
+        stream = GridSelectStream(3, largest=largest)
+        stream.push(np.full(2, value, dtype=dtype))
+        stream.push(np.full(2, value, dtype=dtype))
+        values, indices = stream.topk()
+        assert np.array_equal(indices, [0, 1, 2])
+        assert np.array_equal(values, np.full(3, value, dtype=dtype))
+
+    def test_dtype_fixed_by_first_chunk(self, rng):
+        stream = GridSelectStream(4)
+        stream.push(np.array([], dtype=np.float64))
+        stream.push(rng.standard_normal(10).astype(np.float32))
+        with pytest.raises(TypeError):
+            stream.push(rng.standard_normal(10))
+        stream.push(np.array([], dtype=np.float64))  # empty chunks are no-ops
+        assert stream.count_seen == 10
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_unsupported_dtype_raises(self, dtype):
+        """Like topk(): 8-bit values have no radix key encoding."""
+        stream = GridSelectStream(4)
+        with pytest.raises(TypeError):
+            stream.push(np.arange(10, dtype=dtype))
+        stream.push(np.arange(10, dtype=np.int32))
+        assert stream.count_seen == 10
 
     def test_nan_never_preferred_in_stream(self, rng):
         data = rng.standard_normal(1000).astype(np.float32)

@@ -12,6 +12,7 @@ from repro.algos.queue_common import (
     SENTINEL,
     _thread_mode_flushes,
     emulate_queue_select,
+    sentinel_for,
     slice_rows,
 )
 from repro.primitives import encode
@@ -29,6 +30,74 @@ def sequential_thread_flushes(
             flushes += 1
             fill[:] = 0
     return flushes, fill
+
+
+def _merge_into_maintained(m_keys, m_idx, cand_keys, cand_idx):
+    """Merge padded candidates into the maintained per-slice top-k arrays."""
+    k = m_keys.shape[1]
+    all_keys = np.concatenate([m_keys, cand_keys], axis=1)
+    all_idx = np.concatenate([m_idx, cand_idx], axis=1)
+    # key-primary, validity-secondary: padding slots (index -1) carry the
+    # sentinel key, which a real element's key can equal
+    order = np.lexsort((all_idx < 0, all_keys))[:, :k]
+    return (
+        np.take_along_axis(all_keys, order, axis=1),
+        np.take_along_axis(all_idx, order, axis=1),
+    )
+
+
+def reference_queue_select(slices, k, *, lanes, mode, queue_len, valid_lengths):
+    """The per-chunk merge formulation: every chunk's qualified elements are
+    compacted and lexsorted into a maintained ``(key, padding, position)``
+    top-k whose last key is the threshold.  Thread-mode flushes replay round
+    by round.  Returns ``(keys, indices, stats)``."""
+    num_slices, length = slices.shape
+    sentinel = sentinel_for(slices.dtype)
+    stats = QueueStats(rounds=-(-length // lanes) * num_slices)
+    m_keys = np.full((num_slices, k), sentinel, dtype=slices.dtype)
+    m_idx = np.full((num_slices, k), -1, dtype=np.int64)
+    fill = np.zeros((num_slices, lanes), dtype=np.int64)
+    pos, chunk = 0, lanes * 8
+    max_chunk = max(lanes * 8, 1 << 14)
+    while pos < length:
+        c = min(chunk, length - pos)
+        block = slices[:, pos : pos + c]
+        threshold = m_keys[:, -1][:, None]
+        is_real = np.arange(pos, pos + c)[None, :] < valid_lengths[:, None]
+        has_pad = (m_idx[:, -1] < 0)[:, None]
+        mask = (block < threshold) | (has_pad & is_real & (block == threshold))
+        per_slice_q = mask.sum(axis=1)
+        stats.inserts += int(per_slice_q.sum())
+        if mode == "shared":
+            total = fill[:, 0] + per_slice_q
+            stats.flushes += int((total // queue_len).sum())
+            fill[:, 0] = total % queue_len
+        else:
+            rounds_c = -(-c // lanes)
+            padded = np.zeros((num_slices, rounds_c * lanes), dtype=bool)
+            padded[:, :c] = mask
+            for s in range(num_slices):
+                f, fill[s] = sequential_thread_flushes(
+                    padded[s].reshape(rounds_c, lanes), fill[s], queue_len
+                )
+                stats.flushes += f
+        maxc = int(per_slice_q.max())
+        if maxc:
+            cand_keys = np.full((num_slices, maxc), sentinel, dtype=slices.dtype)
+            cand_idx = np.full((num_slices, maxc), -1, dtype=np.int64)
+            rows, cols = np.nonzero(mask)
+            rank = np.cumsum(mask, axis=1)[rows, cols] - 1
+            cand_keys[rows, rank] = block[rows, cols]
+            cand_idx[rows, rank] = pos + cols
+            m_keys, m_idx = _merge_into_maintained(
+                m_keys, m_idx, cand_keys, cand_idx
+            )
+        pos += c
+        if maxc <= max(4, queue_len // 4):
+            chunk = min(chunk * 2, max_chunk)
+    width = queue_len * (lanes if mode == "thread" else 1)
+    stats.merge_comparators = stats.flushes * stats.merge_cost_comparators(width, k)
+    return m_keys, m_idx, stats
 
 
 class TestThreadModeFlushes:
@@ -75,6 +144,22 @@ class TestSliceRows:
         slices, offsets = slice_rows(keys, 2)
         assert slices.shape == (4, 2)
         assert np.array_equal(offsets, [0, 2, 0, 2])
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+    @pytest.mark.parametrize("n,num_slices", [(12, 3), (10, 3), (7, 7), (5, 8)])
+    def test_matches_padded_split(self, rng, dtype, n, num_slices):
+        """Same slices and offsets as padding every row to a multiple."""
+        keys = rng.integers(0, 100, (2, n)).astype(dtype)
+        slices, offsets = slice_rows(keys, num_slices)
+        per = -(-n // num_slices)
+        padded = np.full((2, num_slices * per), sentinel_for(dtype), dtype=dtype)
+        padded[:, :n] = keys
+        assert slices.dtype == keys.dtype
+        assert np.array_equal(slices, padded.reshape(2 * num_slices, per))
+        assert np.array_equal(
+            offsets, np.tile(np.arange(num_slices) * per, 2)
+        )
+        assert np.shares_memory(slices, keys) == (n % num_slices == 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -166,3 +251,84 @@ def test_queue_select_equals_oracle(n, k_raw, mode, seed):
     got = got[got != SENTINEL][:k] if n < k else got[:k]
     expect = np.sort(keys[0])[:k]
     assert np.array_equal(got, expect)
+
+
+@st.composite
+def queue_problems(draw):
+    """Sentinel-padded slices over a small alphabet that holds the all-ones
+    key, so real elements tie with the sentinel and with each other."""
+    dtype = np.dtype(draw(st.sampled_from([np.uint16, np.uint32, np.uint64])))
+    num_slices = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 2500))
+    # chunk boundaries (lanes * 8 = 256 or 1024 at the start) are where a
+    # prefix of exactly k real elements meets the padding rule
+    k = draw(st.integers(1, length + 8) | st.sampled_from([256, 768, 1024]))
+    k = min(k, length + 8)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    top = int(sentinel_for(dtype))
+    alphabet = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0, 1, 2, 3, 1000, top - 1, top]),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        dtype=dtype,
+    )
+    if draw(st.booleans()):
+        keys = rng.choice(alphabet, (num_slices, length))
+    else:  # mostly distinct keys, salted with the alphabet
+        keys = rng.integers(0, top, (num_slices, length), dtype=dtype, endpoint=True)
+        salt = rng.random((num_slices, length)) < 0.1
+        keys[salt] = rng.choice(alphabet, int(salt.sum()))
+    valid = rng.integers(0, length + 1, num_slices)
+    if draw(st.booleans()):
+        valid[:] = length
+    keys[np.arange(length)[None, :] >= valid[:, None]] = top
+    return keys, k, valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queue_problems(),
+    st.sampled_from([("thread", 2), ("shared", 32)]),
+    st.sampled_from([32, 128]),
+)
+def test_emulator_matches_per_chunk_merge(problem, discipline, lanes):
+    """Threshold-only tracking plus one final selection reproduces the
+    per-chunk merge exactly: keys, indices and every QueueStats field."""
+    keys, k, valid = problem
+    mode, queue_len = discipline
+    got = emulate_queue_select(
+        keys, k, lanes=lanes, mode=mode, queue_len=queue_len, valid_lengths=valid
+    )
+    want_keys, want_idx, want_stats = reference_queue_select(
+        keys, k, lanes=lanes, mode=mode, queue_len=queue_len, valid_lengths=valid
+    )
+    assert got.keys.dtype == keys.dtype
+    assert np.array_equal(got.keys, want_keys)
+    assert np.array_equal(got.indices, want_idx)
+    assert got.stats == want_stats
+
+
+@pytest.mark.parametrize("mode,queue_len", [("thread", 2), ("shared", 32)])
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
+def test_all_ones_keys_filling_k_at_a_chunk_boundary(mode, queue_len, dtype):
+    """Exactly k real all-ones keys precede the second chunk: from there on
+    no element qualifies, and padding never displaces a real element."""
+    top = sentinel_for(dtype)
+    keys = np.full((2, 700), top, dtype=dtype)
+    keys[1, 300:] = 5
+    valid = np.array([650, 700])
+    got = emulate_queue_select(
+        keys, 256, lanes=32, mode=mode, queue_len=queue_len, valid_lengths=valid
+    )
+    want_keys, want_idx, want_stats = reference_queue_select(
+        keys, 256, lanes=32, mode=mode, queue_len=queue_len, valid_lengths=valid
+    )
+    assert np.array_equal(got.keys, want_keys)
+    assert np.array_equal(got.indices, want_idx)
+    assert got.stats == want_stats
+    assert np.array_equal(got.indices[0], np.arange(256))
