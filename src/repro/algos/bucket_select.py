@@ -30,6 +30,7 @@ from ..primitives import (
     flat_histogram,
     head_mask,
     inclusive_scan,
+    masked_entries,
     segment_min_max,
     segment_offsets,
 )
@@ -208,15 +209,13 @@ class BucketSelect(TopKAlgorithm):
                 - in_target
             )
             if below.any():
-                wr, wc = np.nonzero(win2)
+                wr, wc, wk = masked_entries(win2, sub)
                 out_rows.append(rows0[wr])
-                out_keys.append(sub[win2])
-                out_idx.append(wc.astype(np.int64))
+                out_keys.append(wk)
+                out_idx.append(wc)
                 k_rem[rows0] -= below
-            kr, kc = np.nonzero(keep2)
+            kr, cand_idx, cand_keys = masked_entries(keep2, sub)
             cand_rows = rows0[kr]
-            cand_keys = sub[keep2]
-            cand_idx = kc.astype(np.int64)
             count[rows0] = in_target
         else:
             cand_rows = np.empty(0, dtype=np.int64)

@@ -23,7 +23,12 @@ import numpy as np
 from .base import RunContext, TopKAlgorithm
 from ..device import next_pow2, streaming_grid
 from ..perf import calibration as cal
-from ..primitives import comparator_count_sort, head_mask, segment_offsets
+from ..primitives import (
+    comparator_count_sort,
+    head_mask,
+    masked_entries,
+    segment_offsets,
+)
 
 
 class QuickSelect(TopKAlgorithm):
@@ -125,10 +130,10 @@ class QuickSelect(TopKAlgorithm):
         # same candidate count, so the partition masks stay 2-d and the
         # flat state (with its repeat/gather overhead) is built only for
         # the candidates that survive the first partition
-        pivots = np.empty(batch, dtype=np.uint32)
+        pivots = np.empty(batch, dtype=keys2d.dtype)
         for r in range(batch):
             picks = keys2d[r][rngs[r].integers(0, n, size=3)]
-            pivots[r] = np.uint32(np.sort(picks)[1])
+            pivots[r] = np.sort(picks)[1]
         lt2 = keys2d < pivots[:, None]
         n_lt = lt2.sum(axis=1)
         charge_level(batch * n, batch)
@@ -138,10 +143,7 @@ class QuickSelect(TopKAlgorithm):
         if case_a.all():
             # common regime (small k): every row recurses into the < side;
             # the tie masks are never needed
-            kr_, kc_ = np.nonzero(lt2)
-            cand_rows = kr_.astype(np.int64)
-            cand_keys = keys2d[lt2]
-            cand_idx = kc_.astype(np.int64)
+            cand_rows, cand_idx, cand_keys = masked_entries(lt2, keys2d)
             count[:] = n_lt
         else:
             eq2 = keys2d == pivots[:, None]
@@ -152,26 +154,23 @@ class QuickSelect(TopKAlgorithm):
             # row still needs (all of them for C, the first take for B)
             win_lt2 = lt2 & (case_b | case_c)[:, None]
             if win_lt2.any():
-                wr, wc = np.nonzero(win_lt2)
-                out_rows.append(wr.astype(np.int64))
-                out_keys.append(keys2d[win_lt2])
-                out_idx.append(wc.astype(np.int64))
+                wr, wc, wk = masked_entries(win_lt2, keys2d)
+                out_rows.append(wr)
+                out_keys.append(wk)
+                out_idx.append(wc)
             take = np.where(case_b, kr - n_lt, np.where(case_c, n_eq, 0))
             ord2 = np.cumsum(eq2, axis=1) - 1
             win_eq2 = eq2 & (ord2 < take[:, None])
             if win_eq2.any():
-                wr, wc = np.nonzero(win_eq2)
-                out_rows.append(wr.astype(np.int64))
-                out_keys.append(keys2d[win_eq2])
-                out_idx.append(wc.astype(np.int64))
+                wr, wc, wk = masked_entries(win_eq2, keys2d)
+                out_rows.append(wr)
+                out_keys.append(wk)
+                out_idx.append(wc)
             k_rem[case_b] = 0
             k_rem[case_c] -= (n_lt + n_eq)[case_c]
             keep2 = (case_a[:, None] & lt2) | (case_c[:, None] & ~(lt2 | eq2))
             if keep2.any():
-                kr_, kc_ = np.nonzero(keep2)
-                cand_rows = kr_.astype(np.int64)
-                cand_keys = keys2d[keep2]
-                cand_idx = kc_.astype(np.int64)
+                cand_rows, cand_idx, cand_keys = masked_entries(keep2, keys2d)
             count[case_a] = n_lt[case_a]
             count[case_b] = 0
             count[case_c] = (count - n_lt - n_eq)[case_c]
@@ -212,11 +211,11 @@ class QuickSelect(TopKAlgorithm):
             # per-row median-of-3 pivots, each drawn host-side from its
             # row's own stream
             offsets = segment_offsets(seg_counts)
-            pivots = np.empty(rows.size, dtype=np.uint32)
+            pivots = np.empty(rows.size, dtype=keys2d.dtype)
             for i, r in enumerate(rows):
                 seg = cand_keys[offsets[i] : offsets[i + 1]]
                 picks = seg[rngs[r].integers(0, seg.shape[0], size=3)]
-                pivots[i] = np.uint32(np.sort(picks)[1])
+                pivots[i] = np.sort(picks)[1]
             # the flat state is grouped by ascending row, so each
             # element's local row index is a plain repeat of the counts
             local = np.repeat(np.arange(rows.size, dtype=np.int64), seg_counts)

@@ -30,6 +30,7 @@ from ..primitives import (
     flat_histogram,
     head_mask,
     inclusive_scan,
+    masked_entries,
     segment_offsets,
 )
 
@@ -201,15 +202,12 @@ class SampleSelect(TopKAlgorithm):
             np.take_along_axis(psum, target[:, None], axis=1)[:, 0] - in_target
         )
         if below.any():
-            wr, wc = np.nonzero(win2)
-            out_rows.append(wr.astype(np.int64))
-            out_keys.append(keys2d[win2])
-            out_idx.append(wc.astype(np.int64))
+            wr, wc, wk = masked_entries(win2, keys2d)
+            out_rows.append(wr)
+            out_keys.append(wk)
+            out_idx.append(wc)
             k_rem -= below
-        kr_, kc_ = np.nonzero(keep2)
-        cand_rows = kr_.astype(np.int64)
-        cand_keys = keys2d[keep2]
-        cand_idx = kc_.astype(np.int64)
+        cand_rows, cand_idx, cand_keys = masked_entries(keep2, keys2d)
         stuck0 = in_target == count
         count[:] = in_target
 

@@ -18,6 +18,7 @@ import numpy as np
 from .base import RunContext, TopKAlgorithm
 from ..device import streaming_grid
 from ..perf import calibration as cal
+from ..primitives import select_smallest
 
 
 class SortTopK(TopKAlgorithm):
@@ -43,11 +44,11 @@ class SortTopK(TopKAlgorithm):
             items_per_thread=cal.STREAM_ITEMS_PER_THREAD,
         )
 
-        # functional result: a stable argsort is exactly what an LSD radix
-        # sort of (key, index) pairs produces
-        order = np.argsort(keys, axis=1, kind="stable")
-        idx = order[:, : ctx.k].astype(np.int64)
-        key_out = np.take_along_axis(keys, idx, axis=1)
+        # functional result: an LSD radix sort of (key, index) pairs is a
+        # stable sort, and only its first k pairs are kept — the stable
+        # head, selected without sorting the rest (the sort itself is
+        # priced by the launches below)
+        key_out, idx = select_smallest(keys, ctx.k)
 
         copy_grid = streaming_grid(
             device.spec,

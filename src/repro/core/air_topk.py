@@ -63,6 +63,7 @@ from ..primitives import (
     flat_histogram,
     head_mask,
     inclusive_scan,
+    masked_entries,
 )
 
 
@@ -326,16 +327,14 @@ class AIRTopK(TopKAlgorithm):
                     )[:, None]
                     match2 = (slab >> kt(prev2.shift)) == pfx2
                     win2 = match2 & (shifted < pfx)
-                win_r, win_c = np.nonzero(win2)
+                win_r, win_c, win_k = masked_entries(win2, slab)
                 if win_r.size:
                     out_rows.append(rescan[win_r])
-                    out_keys_parts.append(slab[win_r, win_c])
-                    out_idx_parts.append(win_c.astype(np.int64))
+                    out_keys_parts.append(win_k)
+                    out_idx_parts.append(win_c)
                     n_win += win_r.size
-                keep_r, keep_c = np.nonzero(keep2)
-                parts.append(
-                    (rescan[keep_r], slab[keep_r, keep_c], keep_c.astype(np.int64))
-                )
+                keep_r, keep_c, keep_k = masked_entries(keep2, slab)
+                parts.append((rescan[keep_r], keep_k, keep_c))
             traffic.bytes_written += cal.SCATTER_WRITE_PENALTY * 8.0 * n_win
             if not parts:
                 return (

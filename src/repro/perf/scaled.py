@@ -27,6 +27,7 @@ performance figures.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,24 @@ def scale_factors(
     return n_s, k_s, scale
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_input(
+    distribution: str, n: int, batch: int, seed: int, adversarial_m: int
+) -> np.ndarray:
+    """The generated input of one grid cell, shared by consecutive points.
+
+    A sweep grid runs every algorithm (and every k) of a cell back to back
+    on the same input, so one memo entry spares all but the first draw.
+    The array is read-only: an algorithm that writes to its input raises
+    instead of corrupting the next point.
+    """
+    data = generate(
+        distribution, n, batch=batch, seed=seed, adversarial_m=adversarial_m
+    )
+    data.flags.writeable = False
+    return data
+
+
 def simulate_topk(
     algo: str,
     *,
@@ -122,9 +141,7 @@ def simulate_topk(
         n_s, k_s, scale = n, k, 1.0
     else:
         n_s, k_s, scale = scale_factors(n, k, batch, cap)
-        data = generate(
-            distribution, n_s, batch=batch, seed=seed, adversarial_m=adversarial_m
-        )
+        data = _grid_input(distribution, n_s, batch, seed, adversarial_m)
     device = Device(spec, scale=scale)
     result = algorithm.select(
         data,

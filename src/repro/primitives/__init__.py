@@ -21,6 +21,7 @@ from .batched import (
     affine_partitions,
     flat_histogram,
     head_mask,
+    masked_entries,
     partition_topc,
     segment_min_max,
     segment_offsets,
@@ -55,6 +56,7 @@ __all__ = [
     "affine_partitions",
     "flat_histogram",
     "head_mask",
+    "masked_entries",
     "partition_topc",
     "segment_min_max",
     "segment_offsets",

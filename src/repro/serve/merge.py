@@ -5,7 +5,10 @@ per-delegate sub-selections whose candidates are merged hierarchically;
 the same tree shape is how a multi-device sharded top-k combines its
 per-shard (value, index) candidates.  Each merge level folds pairs of
 sorted candidate lists into one, so ``S`` shards take ``ceil(log2 S)``
-levels and every level's work is O(k) per pair.
+levels and every level's work is O(k) per pair.  On the host the tree's
+result is computed by one ordering of all candidates: every level keeps
+the best k under the same total order, so the tree selects exactly the
+best k of the union.
 
 Ordering is exact and deterministic: candidates are compared by their
 monotone priority key (:func:`repro.primitives.priority_keys`, the same
@@ -21,21 +24,17 @@ import numpy as np
 from ..primitives import priority_keys
 
 
-def _order_candidates(
-    values: np.ndarray, indices: np.ndarray, *, largest: bool
+def _best_k(
+    partials: list[tuple[np.ndarray, np.ndarray]], k: int, *, largest: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort candidate columns by (priority key, index), per row."""
-    keys = priority_keys(np.ascontiguousarray(values), largest=largest)
-    # lexicographic (key, index): stable-sort by the secondary key first,
-    # then stable-sort by the primary — ties in `keys` keep index order
-    by_index = np.argsort(indices, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, by_index, axis=1)
-    values = np.take_along_axis(values, by_index, axis=1)
-    indices = np.take_along_axis(indices, by_index, axis=1)
-    by_key = np.argsort(keys, axis=1, kind="stable")
+    """The best ``k`` columns of all candidates, ordered by (key, index)."""
+    values = np.concatenate([p[0] for p in partials], axis=1)
+    indices = np.concatenate([p[1] for p in partials], axis=1)
+    keys = priority_keys(values, largest=largest)
+    order = np.lexsort((indices, keys), axis=1)[:, :k]
     return (
-        np.take_along_axis(values, by_key, axis=1),
-        np.take_along_axis(indices, by_key, axis=1),
+        np.take_along_axis(values, order, axis=1),
+        np.take_along_axis(indices, order, axis=1),
     )
 
 
@@ -51,11 +50,7 @@ def merge_pair(
     Inputs are ``(batch, m)`` arrays (any m); the output is the best
     ``min(k, m_a + m_b)`` columns, best first.
     """
-    values = np.concatenate([a[0], b[0]], axis=1)
-    indices = np.concatenate([a[1], b[1]], axis=1)
-    values, indices = _order_candidates(values, indices, largest=largest)
-    keep = min(k, values.shape[1])
-    return values[:, :keep], indices[:, :keep]
+    return _best_k([a, b], k, largest=largest)
 
 
 def hierarchical_merge(
@@ -64,28 +59,15 @@ def hierarchical_merge(
     *,
     largest: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Tree-reduce per-shard candidates to one global top-k.
+    """Reduce per-shard candidates to one global top-k.
 
     ``partials`` is one ``(values, indices)`` pair per shard, each
     ``(batch, k_s)`` best-first with *global* indices.  Returns
-    ``(values, indices, levels)`` where ``levels`` is the merge-tree
-    depth (what a coordinator charges to the simulated device).
+    ``(values, indices, levels)`` where ``levels`` is the depth of the
+    pairwise merge tree a coordinator runs (what it charges to the
+    simulated device).
     """
     if not partials:
         raise ValueError("hierarchical_merge needs at least one partial")
-    level = list(partials)
-    levels = 0
-    if len(level) == 1:
-        # single shard: still normalise ordering through the same path
-        values, indices = _order_candidates(*level[0], largest=largest)
-        return values[:, :k], indices[:, :k], 0
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(merge_pair(level[i], level[i + 1], k, largest=largest))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-        levels += 1
-    values, indices = level[0]
-    return values[:, :k], indices[:, :k], levels
+    values, indices = _best_k(partials, k, largest=largest)
+    return values, indices, (len(partials) - 1).bit_length()

@@ -21,6 +21,7 @@ from repro.algos import (
     get_algorithm,
 )
 from repro.datagen import generate
+from repro.primitives import priority_keys
 
 
 class TestRegistry:
@@ -111,6 +112,29 @@ class TestSort:
         data = rng.standard_normal(n).astype(np.float32)
         r = topk(data, 10, algo="sort")
         assert r.device.counters.bytes_total > 60.0 * n
+
+    @pytest.mark.parametrize("largest", [False, True])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # heavy ties
+            np.random.default_rng(1).integers(0, 3, (4, 3000)).astype(np.float32),
+            # uint32 0 / max encode to the all-ones key for largest / smallest
+            np.random.default_rng(2).choice(
+                np.array([0, 1, 2**32 - 2, 2**32 - 1], dtype=np.uint32), (3, 999)
+            ),
+            np.full((2, 700), 2**32 - 1, dtype=np.uint32),
+            np.zeros((2, 700), dtype=np.uint32),
+        ],
+        ids=["ties", "alphabet-with-extremes", "all-max", "all-zero"],
+    )
+    @pytest.mark.parametrize("k", [1, 37, 700])
+    def test_result_is_the_stable_sort_head(self, data, largest, k):
+        keys = priority_keys(data, largest=largest)
+        want = np.argsort(keys, axis=1, kind="stable")[:, :k]
+        r = topk(data, k, algo="sort", largest=largest)
+        assert np.array_equal(r.indices, want)
+        assert np.array_equal(r.values, np.take_along_axis(data, want, axis=1))
 
     def test_k_independent_cost(self, rng):
         data = rng.standard_normal(1 << 15).astype(np.float32)

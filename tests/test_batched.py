@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.primitives import affine_partitions, partition_topc, select_smallest
+from repro.primitives import (
+    affine_partitions,
+    masked_entries,
+    partition_topc,
+    select_smallest,
+)
 
 UNSIGNED = [np.uint8, np.uint16, np.uint32, np.uint64]
 
@@ -49,6 +54,43 @@ def tied_keys(draw, max_rows=5, max_n=300):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.choice(np.array(alphabet, dtype=dtype), (rows, n))
+
+
+class TestMaskedEntries:
+    @staticmethod
+    def check(mask, keys):
+        rows, cols, got = masked_entries(mask, keys)
+        want_rows, want_cols = np.nonzero(mask)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+        assert rows.dtype == cols.dtype == np.int64
+        assert got.dtype == keys.dtype
+        assert np.array_equal(got, keys[mask])
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    def test_matches_nonzero_and_boolean_gather(self, rng, dtype, density):
+        keys = rng.integers(0, np.iinfo(dtype).max, (5, 777), dtype=dtype)
+        self.check(rng.random(keys.shape) < density, keys)
+
+    def test_one_row(self, rng):
+        keys = rng.integers(0, 9, (1, 50)).astype(np.uint32)
+        self.check(keys < 4, keys)
+
+    def test_row_subset_copy(self, rng):
+        # the filter kernels pass the rows still rescanning as a fancy-index
+        # copy of the input slab
+        keys = rng.integers(0, 2**63, (6, 300), dtype=np.uint64)
+        slab = keys[np.array([1, 4, 5])]
+        self.check(slab > 2**62, slab)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            masked_entries(np.ones(4, dtype=bool), np.zeros(4, dtype=np.uint32))
+        with pytest.raises(ValueError):
+            masked_entries(
+                np.ones((2, 4), dtype=bool), np.zeros((2, 3), dtype=np.uint32)
+            )
 
 
 class TestSelectSmallest:

@@ -55,6 +55,33 @@ def test_all_algorithms_all_dtypes(algo, dtype, rng):
         assert r.values.dtype == np.dtype(dtype)
 
 
+#: algorithms that only compare keys: widening the key type must not change
+#: a single decision they make, so neither their launches nor their time
+COMPARISON_ONLY = [
+    "quick_select",
+    "sample_select",
+    "grid_select",
+    "warp_select",
+    "block_select",
+    "bitonic_topk",
+]
+
+
+@pytest.mark.parametrize("algo", COMPARISON_ONLY)
+@pytest.mark.parametrize(
+    "narrow, wide", [(np.float32, np.float64), (np.int32, np.int64)]
+)
+def test_comparison_algorithms_ignore_key_width(algo, narrow, wide, rng):
+    data = make_data(rng, narrow, 1 << 16)
+    runs = [topk(data.astype(dt), 64, algo=algo) for dt in (narrow, wide)]
+    launches = [
+        [e.name for e in r.device.timeline if e.stream == "gpu"] for r in runs
+    ]
+    assert launches[0] == launches[1]
+    assert runs[0].time == runs[1].time
+    assert np.array_equal(runs[0].indices, runs[1].indices)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_air_uses_six_passes_for_64bit(dtype, rng):
     """11-bit digits over 64 bits: 6 passes, 7 kernel launches."""

@@ -15,6 +15,7 @@ from repro.perf import (
     simulate_topk,
     sol_report,
 )
+from repro.perf import scaled
 
 
 class TestScaleFactors:
@@ -100,6 +101,32 @@ class TestSimulateTopk:
             simulate_topk(
                 "bitonic_topk", distribution="uniform", n=1 << 26, k=512, cap=1 << 16
             )
+
+    def test_grid_input_generated_once_and_read_only(self, monkeypatch):
+        drawn = []
+
+        def counting_generate(*args, **kwargs):
+            drawn.append(generate(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(scaled, "generate", counting_generate)
+        scaled._grid_input.cache_clear()
+        try:
+            cell = dict(distribution="normal", n=1 << 12, batch=2, seed=3)
+            for algo, k in (("sort", 8), ("air_topk", 8), ("sort", 64)):
+                simulate_topk(algo, k=k, **cell)
+            assert len(drawn) == 1
+            data = drawn[0]
+            assert scaled._grid_input("normal", 1 << 12, 2, 3, 20) is data
+            with pytest.raises(ValueError):
+                data[0, 0] = 0.0
+            # any other key draws a new input
+            simulate_topk("sort", k=8, **{**cell, "seed": 4})
+            simulate_topk("sort", k=8, **cell)
+            assert len(drawn) == 3
+            assert np.array_equal(drawn[2], data) and drawn[2] is not data
+        finally:
+            scaled._grid_input.cache_clear()
 
     def test_explicit_data(self, rng):
         data = rng.standard_normal(5000).astype(np.float32)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import check_topk, topk
 from repro.bench.report import percentile, percentiles, status_counts
+from repro.primitives import priority_keys
 from repro.serve import (
     GroupKey,
     LoadSpec,
@@ -76,7 +77,74 @@ class TestShardBounds:
             shard_bounds(4, 5)
 
 
+def reference_merge_pair(a, b, k, *, largest):
+    """The pairwise merge as two stable argsorts: by index, then by key."""
+    values = np.concatenate([a[0], b[0]], axis=1)
+    indices = np.concatenate([a[1], b[1]], axis=1)
+    by_index = np.argsort(indices, axis=1, kind="stable")
+    values = np.take_along_axis(values, by_index, axis=1)
+    indices = np.take_along_axis(indices, by_index, axis=1)
+    keys = priority_keys(values, largest=largest)
+    by_key = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    return (
+        np.take_along_axis(values, by_key, axis=1),
+        np.take_along_axis(indices, by_key, axis=1),
+    )
+
+
+def reference_hierarchical_merge(partials, k, *, largest):
+    """The merge tree level by level: pairs fold, an odd one out waits."""
+    level = list(partials)
+    if len(level) == 1:
+        empty = (level[0][0][:, :0], level[0][1][:, :0])
+        return (*reference_merge_pair(level[0], empty, k, largest=largest), 0)
+    levels = 0
+    while len(level) > 1:
+        nxt = [
+            reference_merge_pair(level[i], level[i + 1], k, largest=largest)
+            for i in range(0, len(level) - 1, 2)
+        ]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+        levels += 1
+    return level[0][0][:, :k], level[0][1][:, :k], levels
+
+
 class TestMerge:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["float32", "int64"]),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_the_pairwise_tree(self, dtype, parts, batch, k, largest, data):
+        widths = data.draw(st.lists(st.integers(1, 8), min_size=parts, max_size=parts))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a tiny alphabet forces ties across partials; global indices are
+        # unique per row, as every shard owns its own positions
+        values = rng.integers(-2, 3, (batch, sum(widths))).astype(dtype)
+        indices = np.stack(
+            [rng.permutation(10 * sum(widths))[: sum(widths)] for _ in range(batch)]
+        )
+        cuts = np.cumsum(widths)[:-1]
+        partials = list(
+            zip(np.split(values, cuts, axis=1), np.split(indices, cuts, axis=1))
+        )
+        got = hierarchical_merge(partials, k, largest=largest)
+        want = reference_hierarchical_merge(partials, k, largest=largest)
+        assert got[2] == want[2]
+        assert got[0].dtype == want[0].dtype
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        if parts == 2:
+            pair = merge_pair(*partials, k, largest=largest)
+            assert np.array_equal(pair[0], want[0])
+            assert np.array_equal(pair[1], want[1])
+
     def test_merge_pair_keeps_best(self):
         a = (np.array([[1.0, 3.0]]), np.array([[0, 2]]))
         b = (np.array([[2.0, 4.0]]), np.array([[5, 7]]))
